@@ -144,11 +144,7 @@ def _cmd_count(args) -> int:
 
 def _apply_map(op: str, model: str | None, text: str):
     if op == "embed":
-        try:
-            word = tuple(int(tok) for tok in text.split())
-        except ValueError as exc:
-            raise models.ModelSyntaxError(f"expected space-separated integers: {exc}") from None
-        return maps.embed_permutation(word)
+        return maps.embed_permutation(models._ints(text.split(), text))
     obj = models.parse(model, text)
     if op == "phi":
         return maps.phi(obj)
@@ -257,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the cross-model consistency suite")
     p.add_argument("--max-n", type=_positive, default=6)
     p.add_argument("--pairs-n", type=_nonnegative, default=4,
-                   help="independent pair-count bound (0 skips it)")
+                   help="independent pair-count bound (0 skips it); it is its own "
+                        "guard, --guard does not apply to it")
     p.add_argument("--json", action="store_true",
                    help="shorthand for --format json")
     p.add_argument("--threads", type=_positive, default=1,

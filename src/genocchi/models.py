@@ -310,9 +310,15 @@ ModelObject = (
 
 
 def _int(piece: str, text: str) -> int:
-    if not piece.isdigit():
-        raise ModelSyntaxError(f"expected an unsigned integer, got {piece!r} in {text!r}")
-    return int(piece)
+    """A number of the canonical grammar: ASCII [1-9][0-9]*."""
+    if piece.isascii() and piece.isdigit() and piece[0] != "0":
+        try:
+            return int(piece)
+        except ValueError:
+            pass  # more digits than int() converts, so far too large for any entry
+    raise ModelSyntaxError(
+        f"expected a positive integer without leading zeros, got {piece!r} in {text!r}"
+    )
 
 
 def _ints(pieces: list[str], text: str) -> list[int]:

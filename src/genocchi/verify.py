@@ -17,6 +17,10 @@ enumeration plus the structural maps on the other.  A full run covers
     phi_inverse, and the doubled pair count against median_genocchi,
   * the reference order-3 classification of all five families by (k, l).
 
+Each order is one pass: the five cells are enumerated once, and each
+object's statistics and map images are computed once and read by every
+check that needs them; order n - 1 is kept for the reduce/lift checks.
+
 Failures never raise; they are collected as check records carrying a
 replayable witness (a canonical serialization whenever an object is at
 fault).  Reports serialize to stable JSON and to plain text.
@@ -206,21 +210,63 @@ def _check(out: list[Check], name: str, model: str, n: int | None, ok: bool,
     out.append(Check(name, model, n, "pass" if ok else "fail", witness if not ok else None))
 
 
-def _first_bad(objs, predicate) -> str | None:
-    for obj in objs:
-        if not predicate(obj):
+def _first_bad(objs, oks) -> str | None:
+    """Serialization of the first object whose entry in oks (an iterable
+    aligned with objs, read lazily) is false."""
+    for obj, ok in zip(objs, oks):
+        if not ok:
             return models.serialize(obj)
     return None
 
 
-def _all_bad(objs, predicate, cap: int = 8) -> str | None:
-    bad = [models.serialize(obj) for obj in objs if not predicate(obj)]
+def _all_bad(objs, oks, cap: int = 8) -> str | None:
+    bad = [models.serialize(obj) for obj, ok in zip(objs, oks) if not ok]
     if not bad:
         return None
     shown = " | ".join(bad[:cap])
     if len(bad) > cap:
         shown += f" | +{len(bad) - cap} more"
     return shown
+
+
+class _Cell:
+    """The enumerated objects of one (model, n) cell, each object's
+    statistics, and each object's position in the cell.
+
+    Map images are kept in lists aligned with `objs`, each image interned
+    through the target cell, so a table holds no second copy of a cell.
+    """
+
+    __slots__ = ("objs", "stats", "pos")
+
+    def __init__(self, objs: list) -> None:
+        self.objs = objs
+        # one shared tuple per (k, l) value, not one per object
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        self.stats = [shared.setdefault(kl, kl) for kl in map(models.statistics, objs)]
+        self.pos = {o: i for i, o in enumerate(objs)}
+
+    def intern(self, obj):
+        """The cell's own instance equal to obj, or obj when it is no member."""
+        i = self.pos.get(obj)
+        return obj if i is None else self.objs[i]
+
+    def images(self, fn, target: _Cell) -> list:
+        """fn of every object of this cell, interned through target."""
+        return [target.intern(fn(o)) for o in self.objs]
+
+    def lookup(self, table: list, fn, obj):
+        """fn(obj), read from table (fn over this cell, aligned with objs)
+        when obj is a member and computed otherwise."""
+        i = self.pos.get(obj)
+        return fn(obj) if i is None else table[i]
+
+    def statistics(self, obj) -> tuple[int, int]:
+        return self.lookup(self.stats, models.statistics, obj)
+
+
+# families that carry the t and r involutions and the reduce/lift maps
+_INVOLUTIVE = ("pd2n", "dellac", "settuple")
 
 
 def _enumerate_cells(n: int, limit: int | None, threads: int) -> dict[str, list]:
@@ -241,14 +287,14 @@ def _histogram(values, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _matrix_report(n: int, cells: dict[str, list]) -> ConsistencyReport:
+def _matrix_report(n: int, stats: dict[str, list[tuple[int, int]]]) -> ConsistencyReport:
     row = triangles.kreweras_row(n)
     expected = triangles.normalized_genocchi(n)
     report = ConsistencyReport(
         n=n,
-        totals={m: len(objs) for m, objs in cells.items()},
-        k_hists={m: _histogram(map(models.k_statistic, objs), n) for m, objs in cells.items()},
-        l_hists={m: _histogram(map(models.l_statistic, objs), n) for m, objs in cells.items()},
+        totals={m: len(kl) for m, kl in stats.items()},
+        k_hists={m: _histogram((k for k, _ in kl), n) for m, kl in stats.items()},
+        l_hists={m: _histogram((l for _, l in kl), n) for m, kl in stats.items()},
         triangle_row=row,
     )
     for model in MODEL_NAMES:
@@ -265,180 +311,196 @@ def count_matrix(n: int, *, limit: int | None = models.DEFAULT_ENUMERATION_LIMIT
                  threads: int = 1) -> ConsistencyReport:
     """Totals and (k, l) histograms of all five families at order n, each
     compared against row n of the Kreweras triangle."""
-    return _matrix_report(n, _enumerate_cells(n, limit, threads))
+    cells = _enumerate_cells(n, limit, threads)
+    return _matrix_report(
+        n, {m: [models.statistics(o) for o in objs] for m, objs in cells.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
 # per-order deep checks
 
 
-def _serialization_checks(report: ConsistencyReport, cells: dict[str, list]) -> None:
+def _serialization_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
-    for model, objs in cells.items():
-        bad = _first_bad(objs, lambda o, m=model: models.parse(m, models.serialize(o)) == o)
+    for model, cell in cells.items():
+        texts = [models.serialize(o) for o in cell.objs]
+        bad = next(
+            (text for o, text in zip(cell.objs, texts) if models.parse(model, text) != o),
+            None,
+        )
         _check(report.checks, "serialization-roundtrip", model, n, bad is None, bad)
-        listing = [models.serialize(o) for o in objs]
-        _check(report.checks, "canonical-order", model, n, listing == sorted(listing),
+        _check(report.checks, "canonical-order", model, n, texts == sorted(texts),
                "enumeration is not sorted by serialization")
 
 
-def _settuple_checks(report: ConsistencyReport, cells: dict[str, list]) -> None:
+def _settuple_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     def structure(s) -> bool:
         first, last = s.sets[0], s.sets[-1]
         ones = sum(1 in part for part in s.sets)
         tops = sum(s.n in part for part in s.sets)
         return len(first) == 1 and len(last) == 1 and ones == 1 and tops == 1
 
-    bad = _first_bad(cells["settuple"], structure)
+    settuples = cells["settuple"].objs
+    bad = _first_bad(settuples, map(structure, settuples))
     _check(report.checks, "endpoint-structure", "settuple", report.n, bad is None, bad)
 
 
-def _hetyei_checks(report: ConsistencyReport, cells: dict[str, list]) -> None:
+def _hetyei_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
+    hetyeis = cells["hetyei"]
 
-    def redundancy_shape(m) -> bool:
+    def redundancy_shape(m, stats: tuple[int, int]) -> bool:
         chain = models.redundancy_chain(m)
         red = models.redundant_positions(m)
-        return bool(red) and chain[-1] in red and models.k_statistic(m) == n + 1 - max(red)
+        return bool(red) and chain[-1] in red and stats[0] == n + 1 - max(red)
 
-    bad = _first_bad(cells["hetyei"], redundancy_shape)
+    bad = _first_bad(hetyeis.objs, map(redundancy_shape, hetyeis.objs, hetyeis.stats))
     _check(report.checks, "redundancy-structure", "hetyei", n, bad is None, bad)
 
-    total = len(cells["hetyei"])
+    total = len(hetyeis.objs)
     doubled = (1 << n) * total
     expected = triangles.median_genocchi(n)
     _check(report.checks, "orbit-doubling", "hetyei", n, doubled == expected,
            f"2^{n} * {total} = {doubled}, expected {expected}")
 
 
-def _bijection_checks(report: ConsistencyReport, cells: dict[str, list]) -> None:
+def _bijection_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
     chains, settuples, hetyeis = cells["chain"], cells["settuple"], cells["hetyei"]
 
-    bad = _first_bad(
-        chains,
-        lambda c: maps.settuple_to_chain(maps.chain_to_settuple(c)) == c,
-    )
+    to_settuple = chains.images(maps.chain_to_settuple, settuples)
+    to_chain = settuples.images(maps.settuple_to_chain, chains)
+    bad = _first_bad(chains.objs, (
+        settuples.lookup(to_chain, maps.settuple_to_chain, s) == c
+        for c, s in zip(chains.objs, to_settuple)
+    ))
     _check(report.checks, "chain-settuple-roundtrip", "settuple", n, bad is None, bad)
-    bad = _first_bad(
-        settuples,
-        lambda s: maps.chain_to_settuple(maps.settuple_to_chain(s)) == s,
-    )
+    bad = _first_bad(settuples.objs, (
+        chains.lookup(to_settuple, maps.chain_to_settuple, c) == s
+        for s, c in zip(settuples.objs, to_chain)
+    ))
     _check(report.checks, "settuple-chain-roundtrip", "settuple", n, bad is None, bad)
-    bad = _first_bad(
-        settuples, lambda s: maps.closed_form_chain(s) == maps.settuple_to_chain(s)
-    )
+    bad = _first_bad(settuples.objs, (
+        maps.closed_form_chain(s) == c for s, c in zip(settuples.objs, to_chain)
+    ))
     _check(report.checks, "chain-closed-form", "settuple", n, bad is None, bad)
-    bad = _first_bad(
-        chains,
-        lambda c: models.statistics(maps.chain_to_settuple(c)) == models.statistics(c),
-    )
+    bad = _first_bad(chains.objs, (
+        settuples.statistics(s) == stats for s, stats in zip(to_settuple, chains.stats)
+    ))
     _check(report.checks, "chain-settuple-statistics", "settuple", n, bad is None, bad)
 
-    images: dict = {}
+    to_pairs = chains.images(maps.phi, hetyeis)
+    images: set = set()
     collision = None
-    for c in chains:
-        m = maps.phi(c)
+    for c, m in zip(chains.objs, to_pairs):
         if m in images:
             collision = models.serialize(c)
             break
-        images[m] = c
+        images.add(m)
     _check(report.checks, "phi-injective", "hetyei", n, collision is None, collision)
-    _check(report.checks, "phi-image", "hetyei", n, set(images) == set(hetyeis),
+    _check(report.checks, "phi-image", "hetyei", n, images == hetyeis.pos.keys(),
            "phi image differs from the enumerated pair tuples")
-    bad = _first_bad(chains, lambda c: maps.phi_inverse(maps.phi(c)) == c)
+    from_pairs = hetyeis.images(maps.phi_inverse, chains)
+    bad = _first_bad(chains.objs, (
+        hetyeis.lookup(from_pairs, maps.phi_inverse, m) == c
+        for c, m in zip(chains.objs, to_pairs)
+    ))
     _check(report.checks, "phi-roundtrip", "hetyei", n, bad is None, bad)
-    bad = _first_bad(hetyeis, lambda m: maps.phi(maps.phi_inverse(m)) == m)
+    bad = _first_bad(hetyeis.objs, (
+        chains.lookup(to_pairs, maps.phi, c) == m for m, c in zip(hetyeis.objs, from_pairs)
+    ))
     _check(report.checks, "phi-inverse-roundtrip", "hetyei", n, bad is None, bad)
-    bad = _first_bad(
-        chains, lambda c: models.statistics(maps.phi(c)) == models.statistics(c)
-    )
+    bad = _first_bad(chains.objs, (
+        hetyeis.statistics(m) == stats for m, stats in zip(to_pairs, chains.stats)
+    ))
     _check(report.checks, "phi-statistics", "hetyei", n, bad is None, bad)
-    bad = _all_bad(
-        hetyeis,
-        lambda m: models.statistics(m) == models.statistics(maps.phi_inverse(m)),
-    )
+    bad = _all_bad(hetyeis.objs, (
+        stats == chains.statistics(c) for stats, c in zip(hetyeis.stats, from_pairs)
+    ))
     _check(report.checks, "redundancy-transport", "hetyei", n, bad is None, bad)
 
 
-def _involution_checks(report: ConsistencyReport, cells: dict[str, list]) -> None:
+def _involution_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
-    for model in ("pd2n", "dellac", "settuple"):
-        objs = cells[model]
-        universe = set(objs)
+    for model in _INVOLUTIVE:
+        cell = cells[model]
+        t = cell.images(maps.involution_t, cell)
+        r = cell.images(maps.involution_r, cell)
 
-        def t_ok(o) -> bool:
-            k, l = models.statistics(o)
-            image = maps.involution_t(o)
-            if image not in universe or maps.involution_t(image) != o:
-                return False
-            if models.statistics(image) != (l, k):
+        def t_ok(o, stats: tuple[int, int], image) -> bool:
+            k, l = stats
+            j = cell.pos.get(image)
+            if j is None or t[j] != o or cell.stats[j] != (l, k):
                 return False
             return k != l or image == o
 
-        def r_ok(o) -> bool:
-            k, l = models.statistics(o)
-            image = maps.involution_r(o)
-            return (
-                image in universe
-                and maps.involution_r(image) == o
-                and models.statistics(image) == (n + 1 - l, n + 1 - k)
-            )
+        def r_ok(o, stats: tuple[int, int], image) -> bool:
+            k, l = stats
+            j = cell.pos.get(image)
+            return j is not None and r[j] == o and cell.stats[j] == (n + 1 - l, n + 1 - k)
 
-        bad = _first_bad(objs, t_ok)
+        bad = _first_bad(cell.objs, map(t_ok, cell.objs, cell.stats, t))
         _check(report.checks, "involution-t", model, n, bad is None, bad)
-        bad = _first_bad(objs, r_ok)
+        bad = _first_bad(cell.objs, map(r_ok, cell.objs, cell.stats, r))
         _check(report.checks, "involution-r", model, n, bad is None, bad)
 
 
-def _reduction_checks(report: ConsistencyReport, cells: dict[str, list],
-                      limit: int | None) -> None:
+def _reduction_checks(report: ConsistencyReport, cells: dict[str, _Cell],
+                      below: dict[str, _Cell]) -> None:
+    """reduce/lift between the l = n objects of each cell and `below`, the
+    cells of order n - 1 from the previous order's round."""
     n = report.n
     if n < 2:
         return
     smaller = triangles.normalized_genocchi(n - 1)
-    for model in ("pd2n", "dellac", "settuple"):
-        primed = [o for o in cells[model] if models.l_statistic(o) == n]
-        reduced = [maps.reduce(o) for o in primed]
-        below = list(models.enumerate_model(model, n - 1, limit))
+    for model in _INVOLUTIVE:
+        cell, lower = cells[model], below[model]
+        primed = [o for o, (_, l) in zip(cell.objs, cell.stats) if l == n]
+        reduced = [lower.intern(maps.reduce(o)) for o in primed]
+        distinct = set(reduced)
         ok = (
             len(primed) == smaller
-            and len(set(reduced)) == len(reduced)
-            and set(reduced) == set(below)
-            and all(maps.lift(r) == o for o, r in zip(primed, reduced))
-            and all(maps.reduce(maps.lift(o)) == o for o in below)
+            and len(distinct) == len(reduced)
+            and distinct == lower.pos.keys()
         )
+        if ok:
+            # reduce is a bijection onto the cell below here, so
+            # lift(reduce(o)) == o for every primed o also gives
+            # reduce(lift(b)) == b for every b below
+            lifted = lower.images(maps.lift, cell)
+            ok = all(lower.lookup(lifted, maps.lift, r) == o for o, r in zip(primed, reduced))
         witness = None if ok else (models.serialize(primed[0]) if primed else "no primed objects")
         _check(report.checks, "reduce-lift", model, n, ok, witness)
 
 
-def _embedding_checks(report: ConsistencyReport, cells: dict[str, list]) -> None:
+def _embedding_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
     images = {maps.embed_permutation(word) for word in permutations(range(1, n + 1))}
     singletons = {
-        s for s in cells["settuple"] if all(len(part) == 1 for part in s.sets)
+        s for s in cells["settuple"].objs if all(len(part) == 1 for part in s.sets)
     }
     ok = len(images) == factorial(n) and images == singletons
     _check(report.checks, "permutation-embedding", "settuple", n, ok,
            f"expected {factorial(n)} singleton tuples, got {len(singletons)}")
 
 
-def _order3_checks(report: ConsistencyReport, cells: dict[str, list]) -> None:
+def _order3_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     for model, reference in ORDER3_CELLS.items():
-        placed = {
-            models.statistics(o): models.serialize(o) for o in cells[model]
-        }
-        ok = placed == reference and len(cells[model]) == len(reference)
+        cell = cells[model]
+        placed = {stats: models.serialize(o) for o, stats in zip(cell.objs, cell.stats)}
+        ok = placed == reference and len(cell.objs) == len(reference)
         witness = None
         if not ok:
             diffs = set(placed.items()) ^ set(reference.items())
-            witness = "; ".join(f"{cell}: {text}" for cell, text in sorted(diffs))
+            witness = "; ".join(f"{kl}: {text}" for kl, text in sorted(diffs))
         _check(report.checks, "order3-reference-cells", model, 3, ok, witness)
 
 
-def _pair_count_check(report: ConsistencyReport, pair_limit: int | None) -> None:
+def _pair_count_check(report: ConsistencyReport) -> None:
+    # run_suite's pairs_n is this count's bound, so no guard applies here
     n = report.n
-    got = models.hetyei_pair_count(n, limit=pair_limit)
+    got = models.hetyei_pair_count(n, limit=None)
     expected = triangles.median_genocchi(n)
     _check(report.checks, "pair-count", "hetyei", n, got == expected,
            f"expected {expected}, got {got}")
@@ -507,28 +569,31 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
               divisibility_n: int = 200) -> SuiteReport:
     """Run every consistency check up to order max_n.
 
-    pairs_n bounds the independent coordinate-pair count (None skips it);
-    triangle identities always run over their full stated ranges, which are
-    cheap.  threads > 1 parallelizes enumeration cells only; results are
+    pairs_n bounds the independent coordinate-pair count (None skips it)
+    and is its own guard: `limit` does not apply to it.  Triangle
+    identities always run over their full stated ranges, which are cheap.
+    threads > 1 parallelizes enumeration cells only; results are
     aggregated deterministically, so the report does not depend on
     scheduling.  Invariant violations are reported, not raised.
     """
     reports = []
+    below: dict[str, _Cell] = {}
     for n in range(1, max_n + 1):
-        cells = _enumerate_cells(n, limit, threads)
-        report = _matrix_report(n, cells)
+        cells = {m: _Cell(objs) for m, objs in _enumerate_cells(n, limit, threads).items()}
+        report = _matrix_report(n, {m: cell.stats for m, cell in cells.items()})
         _serialization_checks(report, cells)
         _settuple_checks(report, cells)
         _hetyei_checks(report, cells)
         _bijection_checks(report, cells)
         _involution_checks(report, cells)
-        _reduction_checks(report, cells, limit)
+        _reduction_checks(report, cells, below)
         _embedding_checks(report, cells)
         if n == 3:
             _order3_checks(report, cells)
         if pairs_n is not None and n <= pairs_n:
-            _pair_count_check(report, max(pairs_n, models.DEFAULT_PAIR_COUNT_LIMIT))
+            _pair_count_check(report)
         reports.append(report)
+        below = {m: cells[m] for m in _INVOLUTIVE}
     return SuiteReport(
         max_n=max_n,
         pairs_n=pairs_n,

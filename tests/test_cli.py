@@ -179,6 +179,13 @@ def test_map_invalid_objects_exit_3(capsys):
     assert code == 3
     code, _, err = run(capsys, "map", "--op", "embed", "--input", "1 junk")
     assert code == 3
+    # only ASCII digits without leading zeros are numbers
+    for op, model, text in (("t", "dellac", "1 \u00b2"), ("t", "settuple", "02;1"),
+                            ("t", "settuple", "\u0661;2"), ("embed", None, "\u0661 2")):
+        argv = ["map", "--op", op, "--input", text] + (["--model", model] if model else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), text
+        assert err.startswith("error: ")
 
 
 def test_guard_refusal_and_override(capsys):

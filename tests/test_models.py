@@ -11,7 +11,9 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import cached_objects
 from genocchi import models, triangles
 from genocchi.models import (
     DellacConfiguration,
@@ -19,6 +21,7 @@ from genocchi.models import (
     FeiginChain,
     HetyeiTuple,
     MODEL_NAMES,
+    ModelError,
     ModelInvariantError,
     ModelSyntaxError,
     ResourceGuardError,
@@ -196,6 +199,10 @@ def test_parse_rejects_unknown_model():
         ("hetyei", "1,1;2"),
         ("hetyei", "2,1"),
         ("dellac", "1 2 3"),
+        ("settuple", "02;1"),  # leading zero
+        ("settuple", "١;2"),  # non-ASCII digit
+        ("dellac", "1 ²"),  # str.isdigit accepts it, int() does not
+        ("dellac", "1 0"),
     ],
 )
 def test_syntax_errors(model, text):
@@ -224,6 +231,33 @@ def test_syntax_errors(model, text):
 def test_invariant_errors(model, text):
     with pytest.raises(ModelInvariantError):
         models.parse(model, text)
+
+
+_EDITS = ("", "0", "1", "2", "9", " ", ";", ",", "١", "²")
+
+
+@st.composite
+def _near_canonical(draw):
+    """A model and an order <= 4 serialization with up to three characters
+    replaced, deleted or inserted."""
+    model = draw(st.sampled_from(MODEL_NAMES))
+    n = draw(st.integers(min_value=1, max_value=4))
+    text = models.serialize(draw(st.sampled_from(cached_objects(model, n))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        drop = draw(st.integers(min_value=0, max_value=1))
+        text = text[:i] + draw(st.sampled_from(_EDITS)) + text[i + drop:]
+    return model, text
+
+
+@given(st.one_of(_near_canonical(), st.tuples(st.sampled_from(MODEL_NAMES), st.text())))
+def test_parse_accepts_exactly_the_canonical_text(case):
+    model, text = case
+    try:
+        obj = models.parse(model, text)
+    except ModelError:
+        return
+    assert models.serialize(obj) == text
 
 
 def test_objects_are_hashable_and_frozen():

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from genocchi import models, verify
+from genocchi import maps, models, verify
 from genocchi.verify import ORDER3_CELLS, count_matrix, run_suite
 
 
@@ -102,6 +102,57 @@ def test_failed_check_appears_in_text_and_csv_friendly_fields(monkeypatch):
         assert check.witness, check.name
         assert check.status == "fail"
     assert report.to_text().endswith("overall: FAIL")
+
+
+def test_each_cell_is_enumerated_once(monkeypatch):
+    calls = []
+    enumerate_model = models.enumerate_model
+
+    def counting(model, n, limit=models.DEFAULT_ENUMERATION_LIMIT):
+        calls.append((model, n))
+        return enumerate_model(model, n, limit)
+
+    monkeypatch.setattr(models, "enumerate_model", counting)
+    assert run_suite(4, 0, identity_n=8, divisibility_n=8).passed
+    assert len(calls) == 5 * 4
+    assert sorted(calls) == sorted((m, n) for m in models.MODEL_NAMES for n in range(1, 5))
+
+
+# Each case sends one object, the first of its cell, to a wrong but valid
+# image: (map, input model, input, wrong image, check that must fail, the
+# check's model, its witness).  reduce-lift names the first l = n object.
+SABOTAGED_MAPS = [
+    ("chain_to_settuple", "chain", ";1;1,2;1,2,3", "2;1;3",
+     "chain-settuple-roundtrip", "settuple", ";1;1,2;1,2,3"),
+    ("settuple_to_chain", "settuple", "1;2;3", ";2;1,2;1,2,3",
+     "settuple-chain-roundtrip", "settuple", "1;2;3"),
+    ("phi", "chain", ";1;1,2;1,2,3", "1,1;1,2;3,3",
+     "phi-roundtrip", "hetyei", ";1;1,2;1,2,3"),
+    ("phi_inverse", "hetyei", "1,1;1,1;2,3", ";3;2,3;1,2,3",
+     "phi-inverse-roundtrip", "hetyei", "1,1;1,1;2,3"),
+    ("involution_t", "pd2n", "2 1 4 3 6 5 8 7", "2 1 6 3 7 4 8 5",
+     "involution-t", "pd2n", "2 1 4 3 6 5 8 7"),
+    ("involution_r", "dellac", "1 1 2 2 3 3", "1 2 1 2 3 3",
+     "involution-r", "dellac", "1 1 2 2 3 3"),
+    ("reduce", "settuple", "1;2;3", "2;1", "reduce-lift", "settuple", "1;2;3"),
+    ("lift", "dellac", "1 1 2 2", "1 2 3 1 2 3", "reduce-lift", "dellac", "1 1 3 2 2 3"),
+]
+_IMAGE_MODEL = {"chain_to_settuple": "settuple", "settuple_to_chain": "chain",
+                "phi": "hetyei", "phi_inverse": "chain"}
+
+
+@pytest.mark.parametrize("name,model,text,wrong,check,owner,witness", SABOTAGED_MAPS)
+def test_suite_catches_a_sabotaged_map(monkeypatch, name, model, text, wrong,
+                                       check, owner, witness):
+    real = getattr(maps, name)
+    target = models.parse(model, text)
+    image = models.parse(_IMAGE_MODEL.get(name, model), wrong)
+    assert real(target) != image
+
+    monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
+    report = run_suite(3, 0, identity_n=8, divisibility_n=8)
+    failed = {(c.name, c.model, c.n): c.witness for c in report.failures()}
+    assert failed.get((check, owner, 3)) == witness
 
 
 def test_pair_count_bound_is_honored():
