@@ -119,7 +119,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    objs = list(models.enumerate_model(args.model, args.n, _guard_limit(args)))
+    objs = models.enumerate_model(args.model, args.n, _guard_limit(args))
     if args.by:
         stat = models.k_statistic if args.by == "k" else models.l_statistic
         counts = [0] * args.n
@@ -132,7 +132,7 @@ def _cmd_count(args) -> int:
         else:
             print(" ".join(str(c) for c in counts))
     else:
-        total = len(objs)
+        total = sum(1 for _ in objs)
         if args.format == "csv":
             _write_csv(("model", "n", "total"), [(args.model, args.n, total)])
         elif args.format == "json":
@@ -163,6 +163,13 @@ def _apply_map(op: str, model: str | None, text: str):
     return maps.lift(obj)
 
 
+def _read_stdin() -> str:
+    try:
+        return sys.stdin.read().strip()
+    except UnicodeDecodeError as exc:
+        raise models.ModelSyntaxError(f"standard input is not valid text: {exc}") from None
+
+
 def _cmd_map(args) -> int:
     model = _FIXED_INPUT.get(args.op, args.model)
     if args.op in _MODEL_OPS and model is None:
@@ -172,7 +179,7 @@ def _cmd_map(args) -> int:
         print(f"error: --op {args.op} works on {model} input, not {args.model}",
               file=sys.stderr)
         return 2
-    text = args.input if args.input is not None else sys.stdin.read().strip()
+    text = args.input if args.input is not None else _read_stdin()
     out = models.serialize(_apply_map(args.op, model, text))
     if args.format == "csv":
         _write_csv(("output",), [(out,)])

@@ -32,9 +32,10 @@ Canonical serializations (ASCII, no trailing whitespace):
     settuple  "2;1,3;2"                           subsets S_1..S_n
     hetyei    "1,1;1,2;2,2;3,4;3,5"               pairs "u,v" with u <= v
 
-Enumeration emits each object exactly once, ordered lexicographically by
-its canonical serialization, and refuses orders beyond a resource guard
-(default n <= 8, overridable).  All objects are immutable and hashable;
+Enumeration is a lazy iterator that emits each object exactly once,
+ordered lexicographically by its canonical serialization, in memory that
+does not grow with the count.  Orders beyond a resource guard (default
+n <= 8, overridable) are refused at the call, before any object is built.  All objects are immutable and hashable;
 enumerators are pure, so concurrent or repeated runs agree.
 """
 
@@ -44,6 +45,8 @@ from dataclasses import dataclass
 from functools import singledispatch
 from itertools import combinations
 from typing import Iterator
+
+from .triangles import normalized_genocchi
 
 __all__ = [
     "ModelError",
@@ -470,20 +473,32 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # enumeration
+#
+# Each generator emits its objects in canonical order: at every step it tries
+# the choices in the string order of the text fragment a choice adds, that is
+# the component's text and its separator ("v " for pd2n and dellac, "a,b;"
+# for chain and settuple, "u,v;" for hetyei).  The separator occurs nowhere
+# else in a fragment, so no fragment is a prefix of another and fragment
+# order is the order of whole serializations ("10" < "2", "1,3;" < "1;").
+# The last component, written without its separator, is forced by the
+# earlier ones, or for hetyei is always "u,n", so the same holds there.
 
 
 def _iter_dumont(n: int) -> Iterator[DumontPermutation]:
     m = 2 * n + 2
     word = [0] * m
     used = [False] * (m + 1)
+    # position p takes a value > p when p is odd, < p when p is even
+    candidates = [
+        sorted(range(p + 1, m + 1) if p % 2 else range(1, p), key=lambda v: f"{v} ")
+        for p in range(1, m + 1)
+    ]
 
     def extend(pos: int) -> Iterator[DumontPermutation]:
         if pos == m:
             yield DumontPermutation(n, tuple(word))
             return
-        p = pos + 1
-        candidates = range(p + 1, m + 1) if p % 2 else range(1, p)
-        for v in candidates:
+        for v in candidates[pos]:
             # placing odd 2i+1 before its mate 2i would break normalization
             if used[v] or (v % 2 and v > 1 and not used[v - 1]):
                 continue
@@ -499,13 +514,18 @@ def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
     rows = 2 * n
     cols = [0] * rows
     load = [0] * (n + 1)
+    # row i may use the columns c with c <= i <= c + n
+    candidates = [
+        sorted(range(max(1, i - n), min(i, n) + 1), key=lambda c: f"{c} ")
+        for i in range(1, rows + 1)
+    ]
 
     def extend(i: int) -> Iterator[DellacConfiguration]:
         if i > rows:
             yield DellacConfiguration(n, tuple(cols))
             return
         closing = i - n  # column whose band ends at row i
-        for c in range(max(1, closing), min(i, n) + 1):
+        for c in candidates[i - 1]:
             if load[c] == 2:
                 continue
             load[c] += 1
@@ -517,33 +537,32 @@ def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
     yield from extend(1)
 
 
-def _iter_chains(n: int) -> Iterator[FeiginChain]:
-    full = (1 << n) - 1
-    acc: list[int] = [0]
+def _subset_text(part: tuple[int, ...]) -> str:
+    return ",".join(map(str, part)) + ";"
 
-    def to_subsets(masks: list[int]) -> FeiginChain:
-        subsets = tuple(
-            tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1) for mask in masks
-        )
-        return FeiginChain(n, subsets)
+
+def _iter_chains(n: int) -> Iterator[FeiginChain]:
+    acc: list[tuple[int, ...]] = [()]
 
     def extend(i: int) -> Iterator[FeiginChain]:
         if i > n:
-            yield to_subsets(acc)
+            yield FeiginChain(n, tuple(acc))
             return
         prev = acc[-1]
-        comp = full & ~prev
-        free = [v for v in range(1, n + 1) if comp >> (v - 1) & 1]
-        for x in free:
-            acc.append(prev | 1 << (x - 1))
+        free = [v for v in range(1, n + 1) if v not in prev]
+        # I_i is I_{i-1} plus one value, or, when i is in I_{i-1}, I_{i-1}
+        # without i plus two values
+        choices = [tuple(sorted([*prev, x])) for x in free]
+        if i in prev:
+            # a list, not tuple() over a generator: that over-allocates and
+            # shrinks each tuple, and the shrunk blocks pile up in CPython's
+            # free lists (about 200 KiB at n = 6)
+            base = [v for v in prev if v != i]
+            choices.extend(tuple(sorted([*base, x, y])) for x, y in combinations(free, 2))
+        for part in sorted(choices, key=_subset_text):
+            acc.append(part)
             yield from extend(i + 1)
             acc.pop()
-        if prev >> (i - 1) & 1:
-            base = prev & ~(1 << (i - 1))
-            for x, y in combinations(free, 2):
-                acc.append(base | 1 << (x - 1) | 1 << (y - 1))
-                yield from extend(i + 1)
-                acc.pop()
 
     yield from extend(1)
 
@@ -583,7 +602,7 @@ def _iter_settuples(n: int) -> Iterator[SetTuple]:
             choices.extend(
                 (x, y) for x, y in combinations(usable, 2) if x != j and y != j
             )
-        for chosen in choices:
+        for chosen in sorted(choices, key=_subset_text):
             target[j] = len(chosen)
             for v in chosen:
                 occ[v] += 1
@@ -600,20 +619,28 @@ def _iter_settuples(n: int) -> Iterator[SetTuple]:
 
 def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
     pairs: list[tuple[int, int]] = [(0, 0)] * n
+    candidates = [
+        sorted(((u, v) for u in range(1, l + 1) for v in range(u, l + 1)),
+               key=lambda p: f"{p[0]},{p[1]};")
+        for l in range(1, n + 1)
+    ]
 
     def extend(l: int, covered: int) -> Iterator[HetyeiTuple]:
-        if l == 0:
+        if l > n:
             yield HetyeiTuple(n, tuple(pairs))
             return
-        for u in range(1, l + 1):
-            for v in range(u, l + 1):
-                new = covered | 1 << (u - 1) | 1 << (v - 1)
-                if not new >> (l - 1) & 1:
-                    continue  # value l can only come from pairs at positions >= l
-                pairs[l - 1] = (u, v)
-                yield from extend(l - 1, new)
+        # positions after l hold 2 (n - l) entries and position p may take
+        # any value <= p, so by Hall's condition a prefix extends to a full
+        # tuple exactly when at most that many values are still uncovered
+        spare = 2 * (n - l)
+        for u, v in candidates[l - 1]:
+            new = covered | 1 << (u - 1) | 1 << (v - 1)
+            if n - new.bit_count() > spare:
+                continue
+            pairs[l - 1] = (u, v)
+            yield from extend(l + 1, new)
 
-    yield from extend(n, 0)
+    yield from extend(1, 0)
 
 
 _ENUMERATORS = {
@@ -625,11 +652,15 @@ _ENUMERATORS = {
 }
 
 
-def enumerate_model(model: str, n: int, limit: int | None = DEFAULT_ENUMERATION_LIMIT):
-    """All order-n objects of the named family, in canonical order.
+def enumerate_model(model: str, n: int,
+                    limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Iterator:
+    """All order-n objects of the named family, as a lazy iterator in canonical order.
 
-    Canonical order is lexicographic on the serialization string.  Orders
-    beyond `limit` are refused (pass a larger limit, or None, to override).
+    Canonical order is lexicographic on the serialization string; the
+    generators emit it directly, so the objects stream in bounded memory.
+    The model, the order and the guard are checked at the call, before any
+    object is built: orders beyond `limit` raise ResourceGuardError (pass a
+    larger limit, or None, to override).
     """
     if model not in _ENUMERATORS:
         raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
@@ -637,10 +668,10 @@ def enumerate_model(model: str, n: int, limit: int | None = DEFAULT_ENUMERATION_
         raise ValueError(f"order must be >= 1, got {n}")
     if limit is not None and n > limit:
         raise ResourceGuardError(
-            f"order {n} exceeds the enumeration guard {limit}; raise the limit to proceed"
+            f"order {n} exceeds the enumeration guard {limit} (it would build "
+            f"{normalized_genocchi(n):,} objects); raise the limit to proceed"
         )
-    objects = sorted(_ENUMERATORS[model](n), key=serialize)
-    return iter(objects)
+    return _ENUMERATORS[model](n)
 
 
 def hetyei_pair_count(n: int, limit: int | None = DEFAULT_PAIR_COUNT_LIMIT) -> int:

@@ -154,6 +154,13 @@ def test_map_reads_stdin(capsys, monkeypatch):
     assert out.strip() == "4 1 6 2 7 5 8 3"
 
 
+def test_map_undecodable_stdin_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff;1"), encoding="utf-8"))
+    code, out, err = run(capsys, "map", "--op", "to-chain")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
 def test_map_json_format(capsys):
     _, out, _ = run(capsys, "map", "--op", "embed", "--input", "2 1",
                     "--format", "json")
@@ -195,6 +202,12 @@ def test_guard_refusal_and_override(capsys):
     assert code == 2
     code, out, _ = run(capsys, "count", "--model", "chain", "--n", "5", "--guard", "5")
     assert code == 0 and out.strip() == "295"
+
+
+def test_verify_guard_refuses_with_no_output(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "7", "--guard", "6")
+    assert (code, out) == (2, "")
+    assert "guard 6" in err
 
 
 def test_usage_errors_exit_2(capsys):

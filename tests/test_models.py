@@ -8,7 +8,8 @@ main correctness evidence for the models module.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+import tracemalloc
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,10 +147,38 @@ def test_totals_match_triangle(model, n, objects):
     assert len(objects(model, n)) == triangles.normalized_genocchi(n)
 
 
+def strictly_increasing(listing) -> bool:
+    return all(a < b for a, b in zip(listing, listing[1:]))
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_enumeration_is_sorted_by_serialization(model, objects):
-    listing = [models.serialize(o) for o in objects(model, 4)]
-    assert listing == sorted(listing)
+    for n in range(1, 7):
+        assert strictly_increasing([models.serialize(o) for o in objects(model, n)]), n
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@pytest.mark.parametrize("n", [10, 11])
+def test_stream_order_holds_for_two_digit_numbers(model, n):
+    # "10" < "2" and "1,10;" < "1,2;" as strings, so numeric choice order
+    # would fail here; the generators must try choices in text order
+    head = islice(models.enumerate_model(model, n, limit=None), 2000)
+    listing = [models.serialize(o) for o in head]
+    assert len(listing) == 2000
+    assert strictly_increasing(listing)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_enumeration_streams_in_bounded_memory(model):
+    # a sorted list of the 3,098 order-6 objects takes about 1 MiB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in models.enumerate_model(model, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == triangles.normalized_genocchi(6)
+    assert peak < 256 * 1024
 
 
 def test_string_order_differs_from_numeric_for_wide_words(objects):
@@ -391,8 +420,10 @@ def test_pair_count_guard():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError, match=r"would build 38 objects"):
         models.enumerate_model("pd2n", 4, limit=3)
+    with pytest.raises(ResourceGuardError, match=r"would build 15,366,679 objects"):
+        models.enumerate_model("hetyei", 9)
     assert len(list(models.enumerate_model("pd2n", 4, limit=4))) == 38
     with pytest.raises(ValueError):
         models.enumerate_model("pd2n", 0)

@@ -118,6 +118,14 @@ def test_each_cell_is_enumerated_once(monkeypatch):
     assert sorted(calls) == sorted((m, n) for m in models.MODEL_NAMES for n in range(1, 5))
 
 
+def test_guard_refuses_before_any_enumeration(monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "enumerate_model", lambda *args: calls.append(args))
+    with pytest.raises(models.ResourceGuardError, match="guard 6"):
+        run_suite(7, limit=6)
+    assert calls == []
+
+
 # Each case sends one object, the first of its cell, to a wrong but valid
 # image: (map, input model, input, wrong image, check that must fail, the
 # check's model, its witness).  reduce-lift names the first l = n object.
