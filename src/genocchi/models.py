@@ -35,8 +35,9 @@ Canonical serializations (ASCII, no trailing whitespace):
 Enumeration is a lazy iterator that emits each object exactly once,
 ordered lexicographically by its canonical serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
-n <= 8, overridable) are refused at the call, before any object is built.  All objects are immutable and hashable;
-enumerators are pure, so concurrent or repeated runs agree.
+n <= 8, overridable) are refused at the call, before any object is built.
+All objects are immutable and hashable; enumerators are pure, so
+concurrent or repeated runs agree.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ __all__ = [
     "parse",
     "serialize",
     "enumerate_model",
+    "check_enumeration_guard",
     "k_statistic",
     "l_statistic",
     "statistics",
@@ -666,12 +668,29 @@ def enumerate_model(model: str, n: int,
         raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if limit is not None and n > limit:
-        raise ResourceGuardError(
-            f"order {n} exceeds the enumeration guard {limit} (it would build "
-            f"{normalized_genocchi(n):,} objects); raise the limit to proceed"
-        )
+    check_enumeration_guard(n, limit)
     return _ENUMERATORS[model](n)
+
+
+# The object count is named only up to this order: normalized_genocchi(n)
+# fills a cached Seidel triangle of about 2n^2 entries, which at a huge
+# order would itself be the work the guard refuses.
+_COSTED_ORDER_MAX = 64
+
+
+def check_enumeration_guard(n: int, limit: int | None) -> None:
+    """Raise ResourceGuardError when order n is beyond the enumeration guard.
+
+    The check does no work proportional to n: the message names the number
+    of objects per family at order n only for n <= 64.
+    """
+    if limit is None or n <= limit:
+        return
+    cost = (f" (each family has {normalized_genocchi(n):,} objects at that order)"
+            if n <= _COSTED_ORDER_MAX else "")
+    raise ResourceGuardError(
+        f"order {n} exceeds the enumeration guard {limit}{cost}; raise the limit to proceed"
+    )
 
 
 def hetyei_pair_count(n: int, limit: int | None = DEFAULT_PAIR_COUNT_LIMIT) -> int:

@@ -577,13 +577,7 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
     scheduling.  Invariant violations are reported, not raised.  An order
     beyond `limit` raises ResourceGuardError before any work starts.
     """
-    if limit is not None and max_n > limit:
-        cost = len(MODEL_NAMES) * sum(
-            triangles.normalized_genocchi(n) for n in range(1, max_n + 1))
-        raise models.ResourceGuardError(
-            f"order {max_n} exceeds the enumeration guard {limit} (verify would "
-            f"build {cost:,} objects); raise the limit to proceed"
-        )
+    models.check_enumeration_guard(max_n, limit)
     reports = []
     below: dict[str, _Cell] = {}
     for n in range(1, max_n + 1):

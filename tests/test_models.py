@@ -420,13 +420,23 @@ def test_pair_count_guard():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ResourceGuardError, match=r"would build 38 objects"):
+    with pytest.raises(ResourceGuardError, match=r"each family has 38 objects"):
         models.enumerate_model("pd2n", 4, limit=3)
-    with pytest.raises(ResourceGuardError, match=r"would build 15,366,679 objects"):
+    with pytest.raises(ResourceGuardError, match=r"each family has 15,366,679 objects"):
         models.enumerate_model("hetyei", 9)
     assert len(list(models.enumerate_model("pd2n", 4, limit=4))) == 38
     with pytest.raises(ValueError):
         models.enumerate_model("pd2n", 0)
+
+
+def test_enumeration_guard_does_no_work_at_huge_orders(monkeypatch):
+    # naming the count at order 10**6 would fill a Seidel triangle of
+    # about 2 * 10**12 entries before refusing
+    calls = []
+    monkeypatch.setattr(models, "normalized_genocchi", calls.append)
+    with pytest.raises(ResourceGuardError, match=r"guard 8; raise"):
+        models.enumerate_model("pd2n", 10**6)
+    assert calls == []
 
 
 def test_parallel_enumeration_consistency(objects):

@@ -123,6 +123,9 @@ def test_guard_refuses_before_any_enumeration(monkeypatch):
     monkeypatch.setattr(models, "enumerate_model", lambda *args: calls.append(args))
     with pytest.raises(models.ResourceGuardError, match="guard 6"):
         run_suite(7, limit=6)
+    monkeypatch.setattr(models, "normalized_genocchi", calls.append)
+    with pytest.raises(models.ResourceGuardError, match=r"guard 8; raise"):
+        run_suite(10**6)
     assert calls == []
 
 
