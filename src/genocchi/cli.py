@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
 
 from . import maps, models, triangles
 from .models import MODEL_NAMES
@@ -55,6 +56,18 @@ def _write_csv(header, rows) -> None:
 
 def _dump_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _dump_json_list(items) -> None:
+    """Print what _dump_json(list(items)) prints, holding one batch at a time."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    items = iter(items)
+    sep = ""
+    sys.stdout.write("[")
+    while batch := list(islice(items, 256)):
+        sys.stdout.write(sep + encode(batch)[1:-1])  # "[a, b]" without its brackets
+        sep = ", "
+    sys.stdout.write("]\n")
 
 
 def _guard_limit(args) -> int | None:
@@ -102,12 +115,12 @@ def _cmd_enumerate(args) -> int:
             _write_csv(("serialization",), ((models.serialize(o),) for o in objs))
     elif args.format == "json":
         if args.stats:
-            _dump_json([
+            _dump_json_list(
                 {"serialization": models.serialize(o), "k": k, "l": l}
                 for o in objs for k, l in (models.statistics(o),)
-            ])
+            )
         else:
-            _dump_json([models.serialize(o) for o in objs])
+            _dump_json_list(models.serialize(o) for o in objs)
     else:
         for obj in objs:
             line = models.serialize(obj)
@@ -144,7 +157,7 @@ def _cmd_count(args) -> int:
 
 def _apply_map(op: str, model: str | None, text: str):
     if op == "embed":
-        return maps.embed_permutation(models._ints(text.split(), text))
+        return maps.embed_permutation(models._word(text))
     obj = models.parse(model, text)
     if op == "phi":
         return maps.phi(obj)

@@ -42,9 +42,11 @@ concurrent or repeated runs agree.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import singledispatch
 from itertools import combinations
+from operator import gt, lt
 from typing import Iterator
 
 from .triangles import normalized_genocchi
@@ -135,7 +137,7 @@ class DumontPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "DumontPermutation":
-        values = _ints(text.split(" "), text)
+        values = _word(text)
         if len(values) < 4 or len(values) % 2:
             raise ModelSyntaxError(
                 f"word length must be an even number >= 4, got {len(values)}"
@@ -165,16 +167,16 @@ class DellacConfiguration:
                     f"band condition fails: row {i} dot in column {c} needs {c} <= {i} <= {c + n}"
                 )
             counts[c] += 1
-        for c in range(1, n + 1):
-            if counts[c] != 2:
-                raise ModelInvariantError(f"column {c} holds {counts[c]} dots, expected 2")
+        if counts.count(2) != n:
+            c = next(c for c in range(1, n + 1) if counts[c] != 2)
+            raise ModelInvariantError(f"column {c} holds {counts[c]} dots, expected 2")
 
     def serialize(self) -> str:
         return " ".join(str(c) for c in self.row_columns)
 
     @classmethod
     def from_text(cls, text: str) -> "DellacConfiguration":
-        values = _ints(text.split(" "), text)
+        values = _word(text)
         if len(values) < 2 or len(values) % 2:
             raise ModelSyntaxError(
                 f"row count must be an even number >= 2, got {len(values)}"
@@ -197,14 +199,17 @@ class FeiginChain:
             raise ModelInvariantError(f"need {n + 1} subsets for order {n}, got {len(subsets)}")
         prev: frozenset[int] = frozenset()
         for i, part in enumerate(subsets):
-            if list(part) != sorted(set(part)):
-                raise ModelInvariantError(f"subset {i} is not strictly ascending")
             cur = frozenset(part)
-            if not all(1 <= v <= n for v in cur):
+            ordered = sorted(cur)
+            if list(part) != ordered:
+                raise ModelInvariantError(f"subset {i} is not strictly ascending")
+            # ascending, so its two ends bound every value
+            if ordered and not (1 <= ordered[0] and ordered[-1] <= n):
                 raise ModelInvariantError(f"subset {i} has values outside 1..{n}")
             if len(cur) != i:
                 raise ModelInvariantError(f"subset {i} has size {len(cur)}, expected {i}")
-            if i and not (prev - {i}) <= cur:
+            # (prev - {i}) <= cur, without building prev - {i}
+            if not (prev <= cur or prev - cur == {i}):
                 raise ModelInvariantError(
                     f"chain condition fails at step {i}: only {i} may leave the previous subset"
                 )
@@ -221,7 +226,7 @@ class FeiginChain:
         parts = text.split(";")
         if len(parts) < 2:
             raise ModelSyntaxError("chain needs at least subsets I_0 and I_1")
-        return cls(len(parts) - 1, tuple(_subset(p, text) for p in parts))
+        return cls(len(parts) - 1, _subsets(parts, text))
 
 
 @dataclass(frozen=True)
@@ -237,25 +242,37 @@ class SetTuple:
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(sets) != n:
             raise ModelInvariantError(f"need {n} sets for order {n}, got {len(sets)}")
-        occ: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+        # count[v], first[v], last[v]: occurrences of value v and the
+        # positions of the first and the last one
+        count = [0] * (n + 1)
+        first = [0] * (n + 1)
+        last = [0] * (n + 1)
         for j, part in enumerate(sets, 1):
-            if list(part) != sorted(set(part)):
-                raise ModelInvariantError(f"set {j} is not strictly ascending")
-            if not 1 <= len(part) <= 2:
-                raise ModelInvariantError(f"set {j} has size {len(part)}, expected 1 or 2")
+            size = len(part)
+            if size == 2:
+                if not part[0] < part[1]:
+                    raise ModelInvariantError(f"set {j} is not strictly ascending")
+            elif size != 1:
+                if list(part) != sorted(set(part)):
+                    raise ModelInvariantError(f"set {j} is not strictly ascending")
+                raise ModelInvariantError(f"set {j} has size {size}, expected 1 or 2")
             for v in part:
                 if not 1 <= v <= n:
                     raise ModelInvariantError(f"set {j} has value {v} outside 1..{n}")
-                occ[v].append(j)
+                if not count[v]:
+                    first[v] = j
+                count[v] += 1
+                last[v] = j
         for i in range(1, n + 1):
             size = len(sets[i - 1])
-            if len(occ[i]) != size:
+            if count[i] != size:
                 raise ModelInvariantError(
-                    f"value {i} occurs {len(occ[i])} times but #S_{i} = {size}"
+                    f"value {i} occurs {count[i]} times but #S_{i} = {size}"
                 )
-            if size == 2 and not occ[i][0] < i < occ[i][1]:
+            if size == 2 and not first[i] < i < last[i]:
                 raise ModelInvariantError(
-                    f"occurrences of value {i} at positions {occ[i]} do not straddle {i}"
+                    f"occurrences of value {i} at positions {[first[i], last[i]]} "
+                    f"do not straddle {i}"
                 )
 
     def serialize(self) -> str:
@@ -264,7 +281,7 @@ class SetTuple:
     @classmethod
     def from_text(cls, text: str) -> "SetTuple":
         parts = text.split(";")
-        return cls(len(parts), tuple(_subset(p, text) for p in parts))
+        return cls(len(parts), _subsets(parts, text))
 
 
 @dataclass(frozen=True)
@@ -280,25 +297,33 @@ class HetyeiTuple:
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(pairs) != n:
             raise ModelInvariantError(f"need {n} pairs for order {n}, got {len(pairs)}")
-        seen: set[int] = set()
+        covered = 0  # bit x set once value x is an entry
         for l, (u, v) in enumerate(pairs, 1):
             if u > v:
                 raise ModelInvariantError(f"pair {l} is not sorted: {u} > {v}")
             if not (1 <= u and v <= l):
                 raise ModelInvariantError(f"pair {l} = ({u},{v}) has entries outside 1..{l}")
-            seen.update((u, v))
-        missing = set(range(1, n + 1)) - seen
-        if missing:
-            raise ModelInvariantError(f"entries do not cover 1..{n}: missing {sorted(missing)}")
+            covered |= 1 << u | 1 << v
+        if covered != (1 << n + 1) - 2:
+            missing = [x for x in range(1, n + 1) if not covered >> x & 1]
+            raise ModelInvariantError(f"entries do not cover 1..{n}: missing {missing}")
 
     def serialize(self) -> str:
         return ";".join(f"{u},{v}" for u, v in self.pairs)
 
     @classmethod
     def from_text(cls, text: str) -> "HetyeiTuple":
-        parts = text.split(";")
+        if _PAIRS.fullmatch(text):
+            try:
+                values = list(map(int, text.replace(";", ",").split(",")))
+            except ValueError:
+                pass  # a number too long for int(); _int names it below
+            else:
+                us, vs = values[0::2], values[1::2]
+                if not any(map(gt, us, vs)):
+                    return cls(len(us), tuple(zip(us, vs)))
         pairs = []
-        for part in parts:
+        for part in text.split(";"):
             pieces = part.split(",")
             if len(pieces) != 2:
                 raise ModelSyntaxError(f"pair {part!r} in {text!r} is not of the form u,v")
@@ -312,6 +337,41 @@ class HetyeiTuple:
 ModelObject = (
     DumontPermutation | DellacConfiguration | FeiginChain | SetTuple | HetyeiTuple
 )
+
+
+# The canonical grammar of whole texts.  Each from_text first matches its
+# text against one of these and converts all numbers at once; on any text
+# the fast path does not take, the piecewise rules below (_int, _subset)
+# run and raise the error that names the first offending piece.
+_NUMBER = "[1-9][0-9]*"  # [0-9], not \d, which also matches non-ASCII digits
+_SUBSET = f"(?:{_NUMBER}(?:,{_NUMBER})*)?"
+_WORD = re.compile(f"{_NUMBER}(?: {_NUMBER})*")
+_SUBSETS = re.compile(f"{_SUBSET}(?:;{_SUBSET})*")
+_PAIRS = re.compile(f"{_NUMBER},{_NUMBER}(?:;{_NUMBER},{_NUMBER})*")
+
+
+def _word(text: str) -> list[int]:
+    """The numbers of a space-separated word."""
+    pieces = text.split(" ")
+    if _WORD.fullmatch(text):
+        try:
+            return list(map(int, pieces))
+        except ValueError:
+            pass  # a number too long for int(); _int names it below
+    return _ints(pieces, text)
+
+
+def _subsets(parts: list[str], text: str) -> tuple[tuple[int, ...], ...]:
+    """The subsets written in parts, the ";"-separated pieces of text."""
+    if _SUBSETS.fullmatch(text):
+        try:
+            subsets = tuple([tuple(map(int, p.split(","))) if p else () for p in parts])
+        except ValueError:
+            pass  # a number too long for int(); _int names it below
+        else:
+            if all(all(map(lt, s, s[1:])) for s in subsets):  # each strictly ascending
+                return subsets
+    return tuple(_subset(p, text) for p in parts)
 
 
 def _int(piece: str, text: str) -> int:
@@ -443,9 +503,10 @@ def redundancy_chain(m: HetyeiTuple) -> tuple[int, ...]:
     otherwise continue with l_{i+1} = min of the pair at l_i.  Terminates
     because the pair at position 1 is always {1, 1}.
     """
+    pairs = m.pairs
     chain = [m.n]
     while True:
-        u, v = m.pairs[chain[-1] - 1]
+        u, v = pairs[chain[-1] - 1]
         if u == v == chain[-1]:
             return tuple(chain)
         chain.append(min(u, v))
@@ -459,16 +520,16 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
     largest chain value <= l.  Position n itself is redundant only when its
     pair is {n, n}.  The result always contains l_m.
     """
+    n, pairs = m.n, m.pairs
     chain = redundancy_chain(m)
-    lowest = chain[-1]
     out = []
-    if m.pairs[m.n - 1] == (m.n, m.n):
-        out.append(m.n)
+    if pairs[n - 1] == (n, n):
+        out.append(n)
     cursor = len(chain) - 1
-    for l in range(lowest, m.n):
+    for l in range(chain[-1], n):
         while cursor > 0 and chain[cursor - 1] <= l:
             cursor -= 1
-        if chain[cursor] in m.pairs[l - 1]:
+        if chain[cursor] in pairs[l - 1]:
             out.append(l)
     return frozenset(out)
 
@@ -635,11 +696,12 @@ def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
         # any value <= p, so by Hall's condition a prefix extends to a full
         # tuple exactly when at most that many values are still uncovered
         spare = 2 * (n - l)
-        for u, v in candidates[l - 1]:
+        for pair in candidates[l - 1]:
+            u, v = pair
             new = covered | 1 << (u - 1) | 1 << (v - 1)
             if n - new.bit_count() > spare:
                 continue
-            pairs[l - 1] = (u, v)
+            pairs[l - 1] = pair
             yield from extend(l + 1, new)
 
     yield from extend(1, 0)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
+from genocchi import models
 from genocchi.cli import main
 
 
@@ -95,6 +100,35 @@ def test_enumerate_json_with_stats(capsys):
         {"serialization": ";1;1,2", "k": 1, "l": 2},
         {"serialization": ";2;1,2", "k": 2, "l": 1},
     ]
+
+
+@pytest.mark.parametrize("model", models.MODEL_NAMES)
+def test_enumerate_json_is_the_dumped_list(capsys, model):
+    for n in range(1, 5):
+        objs = list(models.enumerate_model(model, n))
+        plain = [models.serialize(o) for o in objs]
+        stats = [{"serialization": models.serialize(o), "k": models.k_statistic(o),
+                  "l": models.l_statistic(o)} for o in objs]
+        for extra, listing in (((), plain), (("--stats",), stats)):
+            _, out, _ = run(capsys, "enumerate", "--model", model, "--n", str(n),
+                            "--format", "json", *extra)
+            assert out == json.dumps(listing, sort_keys=True) + "\n", (n, extra)
+
+
+def test_enumerate_json_streams_in_bounded_memory(monkeypatch):
+    # built as one list, the order-6 listing with statistics peaks at about
+    # 2.4 MiB; the writer is the same for every family
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["enumerate", "--model", "hetyei", "--n", "6", "--stats",
+                         "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1024 * 1024
 
 
 def test_count_total_and_histogram(capsys):
@@ -186,13 +220,30 @@ def test_map_invalid_objects_exit_3(capsys):
     assert code == 3
     code, _, err = run(capsys, "map", "--op", "embed", "--input", "1 junk")
     assert code == 3
-    # only ASCII digits without leading zeros are numbers
+    # only ASCII digits without leading zeros are numbers, and embed
+    # separates them by single spaces, as a pd2n word does
     for op, model, text in (("t", "dellac", "1 \u00b2"), ("t", "settuple", "02;1"),
-                            ("t", "settuple", "\u0661;2"), ("embed", None, "\u0661 2")):
+                            ("t", "settuple", "\u0661;2"), ("embed", None, "\u0661 2"),
+                            ("embed", None, "2  1"), ("embed", None, "2\t1"),
+                            ("embed", None, " 2 1"), ("embed", None, "2 1 ")):
         argv = ["map", "--op", op, "--input", text] + (["--model", model] if model else [])
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), text
         assert err.startswith("error: ")
+
+
+_MAP_OPS = ("phi", "phi-inv", "to-settuple", "to-chain", "t", "r", "reduce", "lift", "embed")
+
+
+@given(st.sampled_from(_MAP_OPS), st.sampled_from((None, *models.MODEL_NAMES)), st.text())
+def test_map_exit_code_on_any_input(op, model, text):
+    argv = ["map", "--op", op, f"--input={text}"] + (["--model", model] if model else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out.getvalue() == ""
 
 
 def test_guard_refusal_and_override(capsys):

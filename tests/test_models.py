@@ -8,6 +8,7 @@ main correctness evidence for the models module.
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from itertools import combinations, islice, permutations, product
 
@@ -31,81 +32,90 @@ from genocchi.models import (
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# definitions and oracles
+#
+# Each predicate states its family's definition for any raw input, valid or
+# not; each oracle filters a raw product space through it.
+
+
+def is_ascending_subset(part, n):
+    """Strictly ascending values in [n]."""
+    return all(a < b for a, b in zip(part, part[1:])) and all(1 <= v <= n for v in part)
+
+
+def is_pd2n(n, word):
+    """A permutation of [2n+2] with an excedance at odd positions, a
+    deficiency at even ones, and each odd value 2j+1 preceded by 2j."""
+    m = 2 * n + 2
+    if not all(v > i if i % 2 else v < i for i, v in enumerate(word, 1)):
+        return False
+    if sorted(word) != list(range(1, m + 1)):
+        return False
+    pos = {v: i for i, v in enumerate(word, 1)}
+    return all(pos[v - 1] < pos[v] for v in range(3, m, 2))
+
+
+def is_dellac(n, cols):
+    """One dot per row inside the band c <= i <= c + n, two dots per column."""
+    return (len(cols) == 2 * n
+            and all(c <= i <= c + n for i, c in enumerate(cols, 1))
+            and all(cols.count(c) == 2 for c in range(1, n + 1)))
+
+
+def is_chain(n, subsets):
+    """Subsets I_0 .. I_n of [n]: #I_i = i and I_{i-1} minus {i} contained in I_i."""
+    return (len(subsets) == n + 1
+            and all(is_ascending_subset(part, n) and len(part) == i
+                    for i, part in enumerate(subsets))
+            and all(set(subsets[i - 1]) - {i} <= set(subsets[i]) for i in range(1, n + 1)))
+
+
+def is_settuple(n, sets):
+    """Subsets S_1 .. S_n of [n] with #S_i = #S_i^{-1} in {1, 2}, double
+    occurrences straddling their value."""
+    if len(sets) != n or not all(is_ascending_subset(part, n) for part in sets):
+        return False
+    for i in range(1, n + 1):
+        occ = [j for j, s in enumerate(sets, 1) if i in s]
+        if len(occ) != len(sets[i - 1]) or len(occ) not in (1, 2):
+            return False
+        if len(occ) == 2 and not occ[0] < i < occ[1]:
+            return False
+    return True
+
+
+def is_hetyei(n, pairs):
+    """Pairs u_l <= v_l in [l] whose entries cover [n]."""
+    return (len(pairs) == n
+            and all(1 <= u <= v <= l for l, (u, v) in enumerate(pairs, 1))
+            and {x for pair in pairs for x in pair} >= set(range(1, n + 1)))
 
 
 def brute_pd2n(n):
-    """Excedance at odd positions, deficiency at even, each odd value 2j+1
-    preceded by 2j."""
-    m = 2 * n + 2
-    for word in permutations(range(1, m + 1)):
-        ok = all(
-            v > i if i % 2 else v < i for i, v in enumerate(word, 1)
-        )
-        if not ok:
-            continue
-        pos = {v: i for i, v in enumerate(word, 1)}
-        if all(pos[v - 1] < pos[v] for v in range(3, m, 2)):
-            yield word
+    return (w for w in permutations(range(1, 2 * n + 3)) if is_pd2n(n, w))
 
 
 def brute_dellac(n):
-    """One dot per row inside the band c <= i <= c + n, two dots per column."""
     bands = [range(max(1, i - n), min(n, i) + 1) for i in range(1, 2 * n + 1)]
-    for combo in product(*bands):
-        if all(combo.count(c) == 2 for c in range(1, n + 1)):
-            yield combo
+    return (c for c in product(*bands) if is_dellac(n, c))
 
 
 def brute_chains(n):
-    """Subset chains: #I_i = i and I_{i-1} minus {i} contained in I_i."""
-    levels = [list(combinations(range(1, n + 1), size)) for size in range(n + 1)]
-
-    def rec(i, acc):
-        if i > n:
-            yield tuple(acc)
-            return
-        prev = set(acc[-1])
-        for cand in levels[i]:
-            if prev - {i} <= set(cand):
-                acc.append(cand)
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-    yield from rec(1, [()])
+    levels = [combinations(range(1, n + 1), size) for size in range(n + 1)]
+    return (t for t in product(*levels) if is_chain(n, t))
 
 
 def brute_settuples(n):
-    """#S_i = #S_i^{-1} in {1, 2}, double occurrences straddling their value."""
-    parts = [
-        frozenset(c)
-        for size in (1, 2)
-        for c in combinations(range(1, n + 1), size)
-    ]
-    for combo in product(parts, repeat=n):
-        ok = True
-        for i in range(1, n + 1):
-            occ = [j for j, s in enumerate(combo, 1) if i in s]
-            if len(occ) != len(combo[i - 1]) or len(occ) not in (1, 2):
-                ok = False
-                break
-            if len(occ) == 2 and not (occ[0] < i < occ[1]):
-                ok = False
-                break
-        if ok:
-            yield tuple(tuple(sorted(s)) for s in combo)
+    parts = [c for size in (1, 2) for c in combinations(range(1, n + 1), size)]
+    return (t for t in product(parts, repeat=n) if is_settuple(n, t))
 
 
 def brute_hetyei(n):
-    """Pairs {u_l, v_l} in [l]^2 whose entries cover [n]."""
     slots = [
         [(u, v) for u in range(1, l + 1) for v in range(u, l + 1)]
         for l in range(1, n + 1)
     ]
-    full = set(range(1, n + 1))
-    for combo in product(*slots):
-        if full <= {x for pair in combo for x in pair}:
-            yield combo
+    return (t for t in product(*slots) if is_hetyei(n, t))
 
 
 ORACLES = {
@@ -139,6 +149,89 @@ def test_enumeration_matches_oracle(model, n, objects):
 def test_pd2n_order_4_matches_oracle(objects):
     brute, build = ORACLES["pd2n"]
     assert set(objects("pd2n", 4)) == {build(4, raw) for raw in brute(4)}
+
+
+def _raw_inputs(model, n):
+    """Raw components at order n, invalid ones included: words with
+    repeated and out-of-range letters, columns and pair entries in
+    0..n+1, and subsets out of order, repeated or out of range."""
+    if model == "pd2n":
+        m = 2 * n + 2
+        if n == 1:
+            return product(range(m + 2), repeat=m)
+        return permutations(range(1, m + 1))
+    if model == "dellac":
+        return product(range(n + 2), repeat=2 * n)
+    if model == "hetyei":
+        return product(product(range(n + 2), repeat=2), repeat=n)
+    parts = [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
+    parts += [(0,), (n + 1,), (2, 1), (1, 1), (3, 2, 1)]
+    return product(parts, repeat=n + 1 if model == "chain" else n)
+
+
+DEFINITIONS = {
+    "pd2n": (is_pd2n, DumontPermutation),
+    "dellac": (is_dellac, DellacConfiguration),
+    "chain": (is_chain, FeiginChain),
+    "settuple": (is_settuple, SetTuple),
+    "hetyei": (is_hetyei, HetyeiTuple),
+}
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_constructor_accepts_exactly_the_definition(model):
+    holds, cls = DEFINITIONS[model]
+    for n in (1, 2, 3):
+        for raw in _raw_inputs(model, n):
+            try:
+                cls(n, raw)
+                accepted = True
+            except ModelInvariantError:
+                accepted = False
+            assert accepted == holds(n, raw), (n, raw)
+
+
+INVARIANT_MESSAGES = [
+    (DumontPermutation, 0, (), "order must be >= 1, got 0"),
+    (DumontPermutation, 1, (2, 1, 4), "word length must be 4 for order 1, got 3"),
+    (DumontPermutation, 1, (2, 1, 4, 4), "word is not a permutation of 1..4"),
+    (DumontPermutation, 1, (1, 2, 4, 3), "excedance condition fails: sigma(1) = 1 is not > 1"),
+    (DumontPermutation, 1, (2, 3, 4, 1), "deficiency condition fails: sigma(2) = 3 is not < 2"),
+    (DumontPermutation, 1, (3, 1, 4, 2), "normalization fails: value 2 appears after value 3"),
+    (DellacConfiguration, 0, (), "order must be >= 1, got 0"),
+    (DellacConfiguration, 1, (1,), "need 2 rows for order 1, got 1"),
+    (DellacConfiguration, 1, (2, 1), "row 1 uses column 2, outside 1..1"),
+    (DellacConfiguration, 2, (2, 1, 1, 2),
+     "band condition fails: row 1 dot in column 2 needs 2 <= 1 <= 4"),
+    (DellacConfiguration, 2, (1, 1, 1, 2), "column 1 holds 3 dots, expected 2"),
+    (FeiginChain, 0, ((),), "order must be >= 1, got 0"),
+    (FeiginChain, 1, ((),), "need 2 subsets for order 1, got 1"),
+    (FeiginChain, 2, ((), (1,), (2, 1)), "subset 2 is not strictly ascending"),
+    (FeiginChain, 2, ((), (3,), (1, 2)), "subset 1 has values outside 1..2"),
+    (FeiginChain, 2, ((), (1, 2), (1, 2)), "subset 1 has size 2, expected 1"),
+    (FeiginChain, 3, ((), (1,), (2, 3), (1, 2, 3)),
+     "chain condition fails at step 2: only 2 may leave the previous subset"),
+    (SetTuple, 0, (), "order must be >= 1, got 0"),
+    (SetTuple, 2, ((1,),), "need 2 sets for order 2, got 1"),
+    (SetTuple, 2, ((2, 1), (1,)), "set 1 is not strictly ascending"),
+    (SetTuple, 2, ((1, 1), (2,)), "set 1 is not strictly ascending"),
+    (SetTuple, 3, ((3, 2, 1), (1,), (2,)), "set 1 is not strictly ascending"),
+    (SetTuple, 2, ((), (1,)), "set 1 has size 0, expected 1 or 2"),
+    (SetTuple, 2, ((3,), (1,)), "set 1 has value 3 outside 1..2"),
+    (SetTuple, 2, ((1,), (1,)), "value 1 occurs 2 times but #S_1 = 1"),
+    (SetTuple, 2, ((1, 2), (1,)), "occurrences of value 1 at positions [1, 2] do not straddle 1"),
+    (HetyeiTuple, 0, (), "order must be >= 1, got 0"),
+    (HetyeiTuple, 2, ((1, 1),), "need 2 pairs for order 2, got 1"),
+    (HetyeiTuple, 2, ((1, 1), (2, 1)), "pair 2 is not sorted: 2 > 1"),
+    (HetyeiTuple, 2, ((1, 2), (1, 2)), "pair 1 = (1,2) has entries outside 1..1"),
+    (HetyeiTuple, 2, ((1, 1), (1, 1)), "entries do not cover 1..2: missing [2]"),
+]
+
+
+@pytest.mark.parametrize("cls,n,raw,message", INVARIANT_MESSAGES)
+def test_invariant_messages(cls, n, raw, message):
+    with pytest.raises(ModelInvariantError, match=f"^{re.escape(message)}$"):
+        cls(n, raw)
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -217,6 +310,9 @@ def test_parse_rejects_unknown_model():
         models.parse("nope", "1")
 
 
+_HUGE = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "model,text",
     [
@@ -232,6 +328,15 @@ def test_parse_rejects_unknown_model():
         ("settuple", "١;2"),  # non-ASCII digit
         ("dellac", "1 ²"),  # str.isdigit accepts it, int() does not
         ("dellac", "1 0"),
+        ("settuple", "1;2\u0660"),  # a non-ASCII digit after the first
+        # more digits than int() converts
+        *(pytest.param(model, text, id=f"{model}-5000-digits") for model, text in (
+            ("pd2n", f"2 1 {_HUGE} 3"),
+            ("dellac", f"1 {_HUGE}"),
+            ("chain", f";{_HUGE}"),
+            ("settuple", f"{_HUGE};1"),
+            ("hetyei", f"1,{_HUGE}"),
+        )),
     ],
 )
 def test_syntax_errors(model, text):
@@ -244,13 +349,13 @@ def test_syntax_errors(model, text):
     [
         ("pd2n", "1 2 4 3"),  # position 1 needs an excedance
         ("pd2n", "2 1 4 4"),  # not a permutation
-        ("pd2n", "4 1 2 3 6 5"),  # 3 appears before 2
+        ("pd2n", "4 1 2 3 6 5"),  # sigma(3) = 2 is no excedance
         ("dellac", "1 2 1 2 3 4"),  # column 4 does not exist at order 3
         ("dellac", "1 1 1 2 3 3"),  # column 1 used three times
         ("dellac", "3 2 2 1 3 1"),  # row 1 outside its band
         ("chain", ";1;2,3;1,2,3"),  # step 2 drops 1, but only 2 may leave
         ("chain", ";1,2;1,2"),  # I_1 must have exactly one element
-        ("settuple", "1;2;1,3"),  # value 1 occurs at 1 and 3, not straddling
+        ("settuple", "1;2;1,3"),  # value 1 occurs twice, but #S_1 = 1
         ("settuple", "2;;2"),  # empty set at position 2
         ("settuple", "1,2;3;2"),  # #S_1 = 2 but value 1 occurs once
         ("hetyei", "1,2;1,2;3,3"),  # pair at position 1 exceeds [1]
