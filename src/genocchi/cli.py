@@ -11,6 +11,7 @@ standard input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -70,10 +71,29 @@ def _dump_json_list(items) -> None:
     sys.stdout.write("]\n")
 
 
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift CPython's limit on the digits of an int converted to text (4,300
+    by default), where the interpreter has one, while triangle and sequence
+    write their exact entries.  map and parse keep it: a number that long
+    in an object text is refused as invalid input."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def _guard_limit(args) -> int | None:
     return args.guard if args.guard is not None else models.DEFAULT_ENUMERATION_LIMIT
 
 
+@_exact_ints()
 def _cmd_triangle(args) -> int:
     row_of = triangles.kreweras_row if args.which == "kreweras" else triangles.seidel_row
     rows = [row_of(i) for i in range(1, args.rows + 1)]
@@ -89,6 +109,7 @@ def _cmd_triangle(args) -> int:
     return 0
 
 
+@_exact_ints()
 def _cmd_sequence(args) -> int:
     if args.which == "genocchi":
         pairs = [(n, triangles.genocchi(n)) for n in range(1, args.count + 1)]

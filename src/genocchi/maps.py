@@ -10,6 +10,11 @@ controlled way:
     reduce / lift                           l = n objects <-> order n-1
     embed_permutation                       S_n into the singleton settuples
 
+Inputs are objects that were validated when they were built.  Every map
+builds its image through the trusted constructor of models, without
+validating it again, since the image of a valid object is valid by
+construction; embed_permutation checks its word first.
+
 The chain <-> pair-tuple bijection phi walks k = 1 .. n and maintains a
 pool: a sequence L_k listing [n] minus I_k, started at L_0 = (n, .., 1).
 Step k consumes the pair slot at position n-k+1 and updates the pool:
@@ -45,6 +50,7 @@ from .models import (
     HetyeiTuple,
     ModelInvariantError,
     SetTuple,
+    _trusted,
     k_statistic,
     l_statistic,
 )
@@ -74,7 +80,7 @@ def chain_to_settuple(chain: FeiginChain) -> SetTuple:
     parts = tuple(
         tuple(sorted(sets[i] - sets[i - 1])) for i in range(1, chain.n + 1)
     )
-    return SetTuple(chain.n, parts)
+    return _trusted(SetTuple, chain.n, parts)
 
 
 def settuple_to_chain(s: SetTuple) -> FeiginChain:
@@ -90,7 +96,7 @@ def settuple_to_chain(s: SetTuple) -> FeiginChain:
             cur.discard(i)
         cur.update(part)
         acc.append(tuple(sorted(cur)))
-    return FeiginChain(s.n, tuple(acc))
+    return _trusted(FeiginChain, s.n, tuple(acc))
 
 
 def closed_form_chain(s: SetTuple) -> FeiginChain:
@@ -109,7 +115,7 @@ def closed_form_chain(s: SetTuple) -> FeiginChain:
             if len(pos) == 2 and pos[0] < i < pos[1]:
                 members.discard(j)
         acc.append(tuple(sorted(members)))
-    return FeiginChain(n, tuple(acc))
+    return _trusted(FeiginChain, n, tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +169,7 @@ def phi_trace(chain: FeiginChain) -> tuple[HetyeiTuple, tuple[tuple[int, ...], .
             pool = _swap_pool(pool, p, q, k)
         _check_pool(pool, cur, n, k)
         pools.append(pool)
-    return HetyeiTuple(n, tuple(pairs)), tuple(pools)
+    return _trusted(HetyeiTuple, n, tuple(pairs)), tuple(pools)
 
 
 def phi(chain: FeiginChain) -> HetyeiTuple:
@@ -205,7 +211,7 @@ def phi_inverse(m: HetyeiTuple) -> FeiginChain:
         _check_pool(pool, frozenset(cur), n, k)
         replayed.update((u, v))
         acc.append(tuple(sorted(cur)))
-    return FeiginChain(n, tuple(acc))
+    return _trusted(FeiginChain, n, tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def _(obj: DumontPermutation) -> DumontPermutation:
     if k == l:
         return obj
     cycle = {2 * k: 2 * l, 2 * l: 2 * l + 1, 2 * l + 1: 2 * k + 1, 2 * k + 1: 2 * k}
-    return DumontPermutation(obj.n, tuple(cycle.get(v, v) for v in obj.word))
+    return _trusted(DumontPermutation, obj.n, tuple(cycle.get(v, v) for v in obj.word))
 
 
 @involution_t.register
@@ -232,7 +238,7 @@ def _(obj: DellacConfiguration) -> DellacConfiguration:
     # swap the dots of rows n and n+1
     cols = list(obj.row_columns)
     cols[obj.n - 1], cols[obj.n] = cols[obj.n], cols[obj.n - 1]
-    return DellacConfiguration(obj.n, tuple(cols))
+    return _trusted(DellacConfiguration, obj.n, tuple(cols))
 
 
 @involution_t.register
@@ -241,7 +247,7 @@ def _(obj: SetTuple) -> SetTuple:
     parts = tuple(
         tuple(sorted(swap.get(v, v) for v in part)) for part in obj.sets
     )
-    return SetTuple(obj.n, parts)
+    return _trusted(SetTuple, obj.n, parts)
 
 
 @singledispatch
@@ -254,14 +260,14 @@ def involution_r(obj):
 def _(obj: DumontPermutation) -> DumontPermutation:
     # sigma^r(i) = 2n+3 - sigma(2n+3-i)
     m = 2 * obj.n + 3
-    return DumontPermutation(obj.n, tuple(m - v for v in reversed(obj.word)))
+    return _trusted(DumontPermutation, obj.n, tuple(m - v for v in reversed(obj.word)))
 
 
 @involution_r.register
 def _(obj: DellacConfiguration) -> DellacConfiguration:
     # half-turn of the board: the dot (j, i) moves to (n+1-j, 2n+1-i)
     n = obj.n
-    return DellacConfiguration(n, tuple(n + 1 - c for c in reversed(obj.row_columns)))
+    return _trusted(DellacConfiguration, n, tuple(n + 1 - c for c in reversed(obj.row_columns)))
 
 
 @involution_r.register
@@ -270,7 +276,7 @@ def _(obj: SetTuple) -> SetTuple:
     parts = tuple(
         tuple(sorted(n + 1 - v for v in part)) for part in reversed(obj.sets)
     )
-    return SetTuple(n, parts)
+    return _trusted(SetTuple, n, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +302,7 @@ def _require_primed(obj, l: int) -> None:
 def _(obj: DumontPermutation) -> DumontPermutation:
     _require_primed(obj, l_statistic(obj))
     # positions 2n+1, 2n+2 then necessarily hold 2n+2, 2n+1
-    return DumontPermutation(obj.n - 1, obj.word[: 2 * obj.n])
+    return _trusted(DumontPermutation, obj.n - 1, obj.word[: 2 * obj.n])
 
 
 @reduce.register
@@ -305,14 +311,14 @@ def _(obj: DellacConfiguration) -> DellacConfiguration:
     n = obj.n
     # column n holds exactly the dots of rows n and 2n; drop them with it
     cols = tuple(c for i, c in enumerate(obj.row_columns, 1) if i not in (n, 2 * n))
-    return DellacConfiguration(n - 1, cols)
+    return _trusted(DellacConfiguration, n - 1, cols)
 
 
 @reduce.register
 def _(obj: SetTuple) -> SetTuple:
     _require_primed(obj, l_statistic(obj))
     # l = n forces S_n = {n}
-    return SetTuple(obj.n - 1, obj.sets[:-1])
+    return _trusted(SetTuple, obj.n - 1, obj.sets[:-1])
 
 
 @singledispatch
@@ -324,7 +330,7 @@ def lift(obj):
 @lift.register
 def _(obj: DumontPermutation) -> DumontPermutation:
     m = 2 * obj.n + 2
-    return DumontPermutation(obj.n + 1, obj.word + (m + 2, m + 1))
+    return _trusted(DumontPermutation, obj.n + 1, obj.word + (m + 2, m + 1))
 
 
 @lift.register
@@ -332,13 +338,13 @@ def _(obj: DellacConfiguration) -> DellacConfiguration:
     n = obj.n + 1
     old = obj.row_columns
     cols = old[: n - 1] + (n,) + old[n - 1 :] + (n,)
-    return DellacConfiguration(n, cols)
+    return _trusted(DellacConfiguration, n, cols)
 
 
 @lift.register
 def _(obj: SetTuple) -> SetTuple:
     n = obj.n + 1
-    return SetTuple(n, obj.sets + ((n,),))
+    return _trusted(SetTuple, n, obj.sets + ((n,),))
 
 
 def embed_permutation(word: Sequence[int]) -> SetTuple:
@@ -347,6 +353,7 @@ def embed_permutation(word: Sequence[int]) -> SetTuple:
     The image is exactly the set of settuples whose parts are all singletons.
     """
     n = len(word)
-    if sorted(word) != list(range(1, n + 1)):
+    # ints only: 2.0 or True would pass the comparison but not serialize as a number
+    if any(type(v) is not int for v in word) or sorted(word) != list(range(1, n + 1)):
         raise ModelInvariantError(f"{tuple(word)} is not a permutation of 1..{n}")
-    return SetTuple(n, tuple((v,) for v in word))
+    return _trusted(SetTuple, n, tuple((v,) for v in word))

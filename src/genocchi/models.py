@@ -36,17 +36,27 @@ Enumeration is a lazy iterator that emits each object exactly once,
 ordered lexicographically by its canonical serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
 n <= 8, overridable) are refused at the call, before any object is built.
-All objects are immutable and hashable; enumerators are pure, so
-concurrent or repeated runs agree.
+Enumerators are pure, so concurrent or repeated runs agree.
+
+Objects are immutable, hashable tuples (tag, n, data): the tag is a small
+int per family, so objects of two families never compare equal, and the
+data is also read by its name (word, row_columns, subsets, sets, pairs).
+Invariants are validated at the boundary, once: the public constructors
+(DumontPermutation(n, word), ..., HetyeiTuple(n, pairs)) and parse check
+every defining condition and raise the first violation, as does
+maps.embed_permutation for its word.  The enumerators here and the maps in
+maps.py, whose outputs are valid by construction, build their objects
+through one trusted constructor that skips the check.  The verifier checks
+each map image by its membership in the target family's enumerated cell,
+whose every object it has validated through parse.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import singledispatch
 from itertools import combinations
-from operator import gt, lt
+from operator import gt, itemgetter, lt
 from typing import Iterator
 
 from .triangles import normalized_genocchi
@@ -99,16 +109,54 @@ class ResourceGuardError(RuntimeError):
 # ---------------------------------------------------------------------------
 # object types
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class DumontPermutation:
+
+class ModelObject(tuple):
+    """Base of the five families: the immutable tuple (tag, n, data)."""
+
+    __slots__ = ()
+    _tag: int
+    _data: str  # the name of the data attribute
+
+    n = property(itemgetter(1), doc="the order")
+
+    def __getnewargs__(self):
+        return self[1:]  # (n, data): copies and unpickled objects are validated
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self[1]!r}, {self._data}={self[2]!r})"
+
+
+def _validated(cls, n, data):
+    """The object (n, data) of family cls, checked by the family's
+    __post_init__, looked up on the class at each call."""
+    obj = _new_tuple(cls, (cls._tag, n, data))
+    obj.__post_init__()
+    return obj
+
+
+def _trusted(cls, n, data):
+    """The object (n, data) of family cls, built without validation.
+
+    For the enumerators and the maps only, whose outputs are valid by
+    construction; every other caller goes through the public constructor.
+    """
+    return _new_tuple(cls, (cls._tag, n, data))
+
+
+class DumontPermutation(ModelObject):
     """Normalized Dumont permutation of the second kind, as a word of length 2n+2."""
 
-    n: int
-    word: tuple[int, ...]
+    __slots__ = ()
+    _tag, _data = 0, "word"
+    word = property(itemgetter(2), doc="sigma(1) .. sigma(2n+2)")
+
+    def __new__(cls, n: int, word: tuple[int, ...]) -> DumontPermutation:
+        return _validated(cls, n, word)
 
     def __post_init__(self) -> None:
-        n, word = self.n, self.word
+        _, n, word = self
         if n < 1:
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         m = 2 * n + 2
@@ -145,15 +193,18 @@ class DumontPermutation:
         return cls(len(values) // 2 - 1, tuple(values))
 
 
-@dataclass(frozen=True)
-class DellacConfiguration:
+class DellacConfiguration(ModelObject):
     """Dellac configuration stored as row_columns[i-1] = column of the dot in row i."""
 
-    n: int
-    row_columns: tuple[int, ...]
+    __slots__ = ()
+    _tag, _data = 1, "row_columns"
+    row_columns = property(itemgetter(2), doc="c_1 .. c_{2n}")
+
+    def __new__(cls, n: int, row_columns: tuple[int, ...]) -> DellacConfiguration:
+        return _validated(cls, n, row_columns)
 
     def __post_init__(self) -> None:
-        n, cols = self.n, self.row_columns
+        _, n, cols = self
         if n < 1:
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(cols) != 2 * n:
@@ -184,15 +235,18 @@ class DellacConfiguration:
         return cls(len(values) // 2, tuple(values))
 
 
-@dataclass(frozen=True)
-class FeiginChain:
+class FeiginChain(ModelObject):
     """Subset chain I_0 .. I_n with #I_i = i and I_{i-1} minus {i} contained in I_i."""
 
-    n: int
-    subsets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _tag, _data = 2, "subsets"
+    subsets = property(itemgetter(2), doc="I_0 .. I_n, each ascending")
+
+    def __new__(cls, n: int, subsets: tuple[tuple[int, ...], ...]) -> FeiginChain:
+        return _validated(cls, n, subsets)
 
     def __post_init__(self) -> None:
-        n, subsets = self.n, self.subsets
+        _, n, subsets = self
         if n < 1:
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(subsets) != n + 1:
@@ -229,15 +283,18 @@ class FeiginChain:
         return cls(len(parts) - 1, _subsets(parts, text))
 
 
-@dataclass(frozen=True)
-class SetTuple:
+class SetTuple(ModelObject):
     """Tuple (S_1, .., S_n) with #S_i = #S_i^{-1} in {1, 2} and straddling preimages."""
 
-    n: int
-    sets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _tag, _data = 3, "sets"
+    sets = property(itemgetter(2), doc="S_1 .. S_n, each ascending")
+
+    def __new__(cls, n: int, sets: tuple[tuple[int, ...], ...]) -> SetTuple:
+        return _validated(cls, n, sets)
 
     def __post_init__(self) -> None:
-        n, sets = self.n, self.sets
+        _, n, sets = self
         if n < 1:
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(sets) != n:
@@ -284,15 +341,18 @@ class SetTuple:
         return cls(len(parts), _subsets(parts, text))
 
 
-@dataclass(frozen=True)
-class HetyeiTuple:
+class HetyeiTuple(ModelObject):
     """Pair tuple ({u_1,v_1}, .., {u_n,v_n}), u_l <= v_l in [l], entries covering [n]."""
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
+    _tag, _data = 4, "pairs"
+    pairs = property(itemgetter(2), doc="(u_1, v_1) .. (u_n, v_n)")
+
+    def __new__(cls, n: int, pairs: tuple[tuple[int, int], ...]) -> HetyeiTuple:
+        return _validated(cls, n, pairs)
 
     def __post_init__(self) -> None:
-        n, pairs = self.n, self.pairs
+        _, n, pairs = self
         if n < 1:
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(pairs) != n:
@@ -332,11 +392,6 @@ class HetyeiTuple:
                 raise ModelSyntaxError(f"pair {part!r} must be written with u <= v")
             pairs.append((u, v))
         return cls(len(pairs), tuple(pairs))
-
-
-ModelObject = (
-    DumontPermutation | DellacConfiguration | FeiginChain | SetTuple | HetyeiTuple
-)
 
 
 # The canonical grammar of whole texts.  Each from_text first matches its
@@ -559,7 +614,7 @@ def _iter_dumont(n: int) -> Iterator[DumontPermutation]:
 
     def extend(pos: int) -> Iterator[DumontPermutation]:
         if pos == m:
-            yield DumontPermutation(n, tuple(word))
+            yield _trusted(DumontPermutation, n, tuple(word))
             return
         for v in candidates[pos]:
             # placing odd 2i+1 before its mate 2i would break normalization
@@ -585,7 +640,7 @@ def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
 
     def extend(i: int) -> Iterator[DellacConfiguration]:
         if i > rows:
-            yield DellacConfiguration(n, tuple(cols))
+            yield _trusted(DellacConfiguration, n, tuple(cols))
             return
         closing = i - n  # column whose band ends at row i
         for c in candidates[i - 1]:
@@ -609,7 +664,7 @@ def _iter_chains(n: int) -> Iterator[FeiginChain]:
 
     def extend(i: int) -> Iterator[FeiginChain]:
         if i > n:
-            yield FeiginChain(n, tuple(acc))
+            yield _trusted(FeiginChain, n, tuple(acc))
             return
         prev = acc[-1]
         free = [v for v in range(1, n + 1) if v not in prev]
@@ -656,7 +711,7 @@ def _iter_settuples(n: int) -> Iterator[SetTuple]:
     def extend(j: int) -> Iterator[SetTuple]:
         if j > n:
             if all(occ[v] == target[v] for v in range(1, n + 1)):
-                yield SetTuple(n, tuple(acc))
+                yield _trusted(SetTuple, n, tuple(acc))
             return
         choices: list[tuple[int, ...]] = []
         usable = [v for v in range(1, n + 1) if may_use(v, j)]
@@ -690,7 +745,7 @@ def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
 
     def extend(l: int, covered: int) -> Iterator[HetyeiTuple]:
         if l > n:
-            yield HetyeiTuple(n, tuple(pairs))
+            yield _trusted(HetyeiTuple, n, tuple(pairs))
             return
         # positions after l hold 2 (n - l) entries and position p may take
         # any value <= p, so by Hall's condition a prefix extends to a full

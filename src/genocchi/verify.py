@@ -21,6 +21,14 @@ Each order is one pass: the five cells are enumerated once, and each
 object's statistics and map images are computed once and read by every
 check that needs them; order n - 1 is kept for the reduce/lift checks.
 
+Enumerators and maps build their objects without validating them (see
+models).  The serialization round-trip validates every enumerated object
+through parse before anything else reads it, and a cell holds only the
+objects it accepts.  A map image counts as valid only as a member of its
+target cell: a non-member image fails the check that guards its map, with
+the source object as witness (reduce-lift names the first l = n object),
+and no statistic or map is computed on it.
+
 Failures never raise; they are collected as check records carrying a
 replayable witness (a canonical serialization whenever an object is at
 fault).  Reports serialize to stable JSON and to plain text.
@@ -31,7 +39,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import compress, permutations
 from math import factorial
 
 from . import maps, models, triangles
@@ -235,6 +243,8 @@ class _Cell:
 
     Map images are kept in lists aligned with `objs`, each image interned
     through the target cell, so a table holds no second copy of a cell.
+    A table lookup or a statistic of a non-member is None, which no check
+    accepts: membership stands in for the validation of a map image.
     """
 
     __slots__ = ("objs", "stats", "pos")
@@ -255,14 +265,14 @@ class _Cell:
         """fn of every object of this cell, interned through target."""
         return [target.intern(fn(o)) for o in self.objs]
 
-    def lookup(self, table: list, fn, obj):
-        """fn(obj), read from table (fn over this cell, aligned with objs)
-        when obj is a member and computed otherwise."""
+    def lookup(self, table: list, obj):
+        """obj's entry in table (aligned with objs), or None when obj is no
+        member."""
         i = self.pos.get(obj)
-        return fn(obj) if i is None else table[i]
+        return None if i is None else table[i]
 
-    def statistics(self, obj) -> tuple[int, int]:
-        return self.lookup(self.stats, models.statistics, obj)
+    def statistics(self, obj) -> tuple[int, int] | None:
+        return self.lookup(self.stats, obj)
 
 
 # families that carry the t and r involutions and the reduce/lift maps
@@ -321,16 +331,33 @@ def count_matrix(n: int, *, limit: int | None = models.DEFAULT_ENUMERATION_LIMIT
 # per-order deep checks
 
 
-def _serialization_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
+def _parses_to(model: str, text: str, obj) -> bool:
+    try:
+        return models.parse(model, text) == obj
+    except models.ModelError:
+        return False
+
+
+def _roundtrip(model: str, objs: list) -> tuple[list, str | None, bool]:
+    """The enumerated objects whose text parses back to them, the first
+    text that does not, and whether the texts are in canonical order.
+
+    parse validates, so this is the one validation of each enumerated
+    object.  Only the objects it accepts make up the cell, before any
+    statistic or map is computed, so an invalid one fails the round-trip
+    (and the total) instead of raising."""
+    texts = [models.serialize(o) for o in objs]
+    oks = [_parses_to(model, text, o) for o, text in zip(objs, texts)]
+    bad = next((text for text, ok in zip(texts, oks) if not ok), None)
+    return list(compress(objs, oks)), bad, texts == sorted(texts)
+
+
+def _serialization_checks(report: ConsistencyReport,
+                          roundtrips: dict[str, tuple[list, str | None, bool]]) -> None:
     n = report.n
-    for model, cell in cells.items():
-        texts = [models.serialize(o) for o in cell.objs]
-        bad = next(
-            (text for o, text in zip(cell.objs, texts) if models.parse(model, text) != o),
-            None,
-        )
+    for model, (_, bad, ordered) in roundtrips.items():
         _check(report.checks, "serialization-roundtrip", model, n, bad is None, bad)
-        _check(report.checks, "canonical-order", model, n, texts == sorted(texts),
+        _check(report.checks, "canonical-order", model, n, ordered,
                "enumeration is not sorted by serialization")
 
 
@@ -372,12 +399,12 @@ def _bijection_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> Non
     to_settuple = chains.images(maps.chain_to_settuple, settuples)
     to_chain = settuples.images(maps.settuple_to_chain, chains)
     bad = _first_bad(chains.objs, (
-        settuples.lookup(to_chain, maps.settuple_to_chain, s) == c
+        settuples.lookup(to_chain, s) == c
         for c, s in zip(chains.objs, to_settuple)
     ))
     _check(report.checks, "chain-settuple-roundtrip", "settuple", n, bad is None, bad)
     bad = _first_bad(settuples.objs, (
-        chains.lookup(to_settuple, maps.chain_to_settuple, c) == s
+        chains.lookup(to_settuple, c) == s
         for s, c in zip(settuples.objs, to_chain)
     ))
     _check(report.checks, "settuple-chain-roundtrip", "settuple", n, bad is None, bad)
@@ -403,12 +430,12 @@ def _bijection_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> Non
            "phi image differs from the enumerated pair tuples")
     from_pairs = hetyeis.images(maps.phi_inverse, chains)
     bad = _first_bad(chains.objs, (
-        hetyeis.lookup(from_pairs, maps.phi_inverse, m) == c
+        hetyeis.lookup(from_pairs, m) == c
         for c, m in zip(chains.objs, to_pairs)
     ))
     _check(report.checks, "phi-roundtrip", "hetyei", n, bad is None, bad)
     bad = _first_bad(hetyeis.objs, (
-        chains.lookup(to_pairs, maps.phi, c) == m for m, c in zip(hetyeis.objs, from_pairs)
+        chains.lookup(to_pairs, c) == m for m, c in zip(hetyeis.objs, from_pairs)
     ))
     _check(report.checks, "phi-inverse-roundtrip", "hetyei", n, bad is None, bad)
     bad = _first_bad(chains.objs, (
@@ -469,7 +496,7 @@ def _reduction_checks(report: ConsistencyReport, cells: dict[str, _Cell],
             # lift(reduce(o)) == o for every primed o also gives
             # reduce(lift(b)) == b for every b below
             lifted = lower.images(maps.lift, cell)
-            ok = all(lower.lookup(lifted, maps.lift, r) == o for o, r in zip(primed, reduced))
+            ok = all(lower.lookup(lifted, r) == o for o, r in zip(primed, reduced))
         witness = None if ok else (models.serialize(primed[0]) if primed else "no primed objects")
         _check(report.checks, "reduce-lift", model, n, ok, witness)
 
@@ -581,9 +608,11 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
     reports = []
     below: dict[str, _Cell] = {}
     for n in range(1, max_n + 1):
-        cells = {m: _Cell(objs) for m, objs in _enumerate_cells(n, limit, threads).items()}
+        roundtrips = {m: _roundtrip(m, objs)
+                      for m, objs in _enumerate_cells(n, limit, threads).items()}
+        cells = {m: _Cell(valid) for m, (valid, _, _) in roundtrips.items()}
         report = _matrix_report(n, {m: cell.stats for m, cell in cells.items()})
-        _serialization_checks(report, cells)
+        _serialization_checks(report, roundtrips)
         _settuple_checks(report, cells)
         _hetyei_checks(report, cells)
         _bijection_checks(report, cells)

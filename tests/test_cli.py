@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from genocchi import models
+from genocchi import models, triangles
 from genocchi.cli import main
 
 
@@ -61,6 +63,31 @@ def test_sequence_text(capsys):
     assert [int(v) for v in out.split()] == [1, 2, 8, 56, 608]
     code, out, _ = run(capsys, "sequence", "normalized", "--count", "7")
     assert [int(v) for v in out.split()] == [1, 1, 2, 7, 38, 295, 3098]
+
+
+_DIGITS = "1" + "0" * 5000  # more digits than CPython writes by default
+_HUGE_OUTPUTS = {
+    "triangle": {"text": f"{_DIGITS}\n", "csv": f"n,k,value\n1,1,{_DIGITS}\n",
+                 "json": f"[[{_DIGITS}]]\n"},
+    "sequence": {"text": f"{_DIGITS}\n", "csv": f"n,value\n0,{_DIGITS}\n",
+                 "json": f"[{_DIGITS}]\n"},
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", [("triangle", "kreweras", "--rows", "1"),
+                                  ("sequence", "normalized", "--count", "1")],
+                         ids=["triangle", "sequence"])
+def test_entries_beyond_the_digit_limit_print_exactly(capsys, monkeypatch, argv, fmt):
+    huge = 10 ** 5000
+    monkeypatch.setattr(triangles, "kreweras_row", lambda n: (huge,))
+    monkeypatch.setattr(triangles, "normalized_genocchi", lambda n: huge)
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _HUGE_OUTPUTS[argv[0]][fmt]
+    assert get_limit() == limit
 
 
 def test_sequence_csv_carries_indices(capsys):
@@ -225,7 +252,8 @@ def test_map_invalid_objects_exit_3(capsys):
     for op, model, text in (("t", "dellac", "1 \u00b2"), ("t", "settuple", "02;1"),
                             ("t", "settuple", "\u0661;2"), ("embed", None, "\u0661 2"),
                             ("embed", None, "2  1"), ("embed", None, "2\t1"),
-                            ("embed", None, " 2 1"), ("embed", None, "2 1 ")):
+                            ("embed", None, " 2 1"), ("embed", None, "2 1 "),
+                            ("t", "dellac", "1 " + "9" * 5000)):
         argv = ["map", "--op", op, "--input", text] + (["--model", model] if model else [])
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), text
@@ -287,6 +315,20 @@ def test_verify_subcommand(capsys):
                        "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "n,model,name,status,witness"
+
+
+# sha256 of the stdout of `verify --max-n N --json`; the report is byte-stable
+VERIFY_JSON_SHA256 = {
+    6: "1363ab8f68d994ce6bef78bbd74b08e91b0a09f5a3952611fc0900075a6647bb",
+    7: "4a4605da9c82ac83a17b5e056f1e662a796c9aec10ce231b37928bbd8c208570",
+}
+
+
+@pytest.mark.parametrize("max_n", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_verify_json_is_byte_stable(capsys, max_n):
+    code, out, _ = run(capsys, "verify", "--max-n", str(max_n), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[max_n]
 
 
 def test_verify_threads_give_identical_output(capsys):

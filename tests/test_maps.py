@@ -7,10 +7,12 @@ and transport the statistics the way the cell placements require.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cached_objects
+from conftest import cached_objects, rebuilt
 from genocchi import maps, models
 from genocchi.models import ModelInvariantError
 
@@ -186,6 +188,10 @@ def test_embed_examples():
         maps.embed_permutation((1, 3))
     with pytest.raises(ModelInvariantError):
         maps.embed_permutation((2, 2, 1))
+    # the word is checked before the image is built unvalidated
+    for word in ((2.0, 1.0), (True,), ("1",)):
+        with pytest.raises(ModelInvariantError):
+            maps.embed_permutation(word)
 
 
 def test_embed_image_is_the_singleton_class(objects):
@@ -229,3 +235,31 @@ def test_pd2n_involutions_sampled(word):
     k, l = models.statistics(word)
     assert models.statistics(maps.involution_r(word)) == (6 - l, 6 - k)
     assert maps.involution_r(maps.involution_r(word)) == word
+
+
+# ---------------------------------------------------------------------------
+# images against the definitions
+
+
+_IMAGE_MAPS = {
+    "pd2n": (maps.involution_t, maps.involution_r, maps.lift),
+    "dellac": (maps.involution_t, maps.involution_r, maps.lift),
+    "chain": (maps.chain_to_settuple, maps.phi),
+    "settuple": (maps.settuple_to_chain, maps.closed_form_chain, maps.involution_t,
+                 maps.involution_r, maps.lift),
+    "hetyei": (maps.phi_inverse,),
+}
+
+
+@pytest.mark.parametrize("model", models.MODEL_NAMES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_map_images_pass_the_public_constructor(model, n, objects):
+    # the maps build their images unvalidated
+    images = [fn(o) for o in objects(model, n) for fn in _IMAGE_MAPS[model]]
+    if model in ("pd2n", "dellac", "settuple") and n > 1:
+        images += [maps.reduce(o) for o in objects(model, n) if models.l_statistic(o) == n]
+    if model == "settuple":
+        images += [maps.embed_permutation(w) for w in permutations(range(1, n + 1))]
+    for image in images:
+        again = rebuilt(image)
+        assert again == image and hash(again) == hash(image), image

@@ -8,6 +8,8 @@ main correctness evidence for the models module.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 import tracemalloc
 from itertools import combinations, islice, permutations, product
@@ -15,7 +17,7 @@ from itertools import combinations, islice, permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cached_objects
+from conftest import DATA_ATTRIBUTES, cached_objects, rebuilt
 from genocchi import models, triangles
 from genocchi.models import (
     DellacConfiguration,
@@ -29,6 +31,7 @@ from genocchi.models import (
     ResourceGuardError,
     SetTuple,
 )
+from genocchi.verify import ORDER3_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +146,15 @@ def test_enumeration_matches_oracle(model, n, objects):
     got = list(objects(model, n))
     assert len(got) == len(set(got)) == len(expected)
     assert set(got) == expected
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_enumerated_objects_pass_the_public_constructor(model, objects):
+    # the enumerators build their objects unvalidated
+    for n in range(1, 6):
+        for o in objects(model, n):
+            again = rebuilt(o)
+            assert again == o and hash(again) == hash(o), o
 
 
 @pytest.mark.slow
@@ -394,11 +406,26 @@ def test_parse_accepts_exactly_the_canonical_text(case):
     assert models.serialize(obj) == text
 
 
-def test_objects_are_hashable_and_frozen():
-    obj = models.parse("settuple", "2;1,3;2")
-    assert {obj: 1}[models.parse("settuple", "2;1,3;2")] == 1
-    with pytest.raises(AttributeError):
-        obj.n = 5
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_objects_are_hashable_and_frozen(model):
+    text = ORDER3_CELLS[model][(2, 2)]
+    obj, again = models.parse(model, text), models.parse(model, text)
+    assert obj is not again and obj == again and hash(obj) == hash(again)
+    assert {obj: 1}[again] == 1
+    data = DATA_ATTRIBUTES[type(obj)]
+    assert len(obj) == 3 and obj[1:] == (3, getattr(obj, data))
+    for attr in ("n", data, "other"):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, getattr(obj, data))
+    for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin == obj
+    mine = [models.parse(model, t) for t in ORDER3_CELLS[model].values()]
+    others = [models.parse(m, t) for m in MODEL_NAMES if m != model
+              for t in ORDER3_CELLS[m].values()]
+    assert not any(a == b for a in mine for b in others)
+    # the same order and data under another family's class is still unequal
+    assert not any(models._trusted(cls, o.n, o[2]) == o
+                   for o in mine for cls in DATA_ATTRIBUTES if cls is not type(o))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import json
 import pytest
 
 from genocchi import maps, models, verify
+from genocchi.cli import main
+from genocchi.models import DellacConfiguration, FeiginChain
 from genocchi.verify import ORDER3_CELLS, count_matrix, run_suite
 
 
@@ -129,6 +131,11 @@ def test_guard_refuses_before_any_enumeration(monkeypatch):
     assert calls == []
 
 
+def failed_checks(report) -> dict:
+    """Witness of each failed check, keyed by (name, model, n)."""
+    return {(c.name, c.model, c.n): c.witness for c in report.failures()}
+
+
 # Each case sends one object, the first of its cell, to a wrong but valid
 # image: (map, input model, input, wrong image, check that must fail, the
 # check's model, its witness).  reduce-lift names the first l = n object.
@@ -161,9 +168,87 @@ def test_suite_catches_a_sabotaged_map(monkeypatch, name, model, text, wrong,
     assert real(target) != image
 
     monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
-    report = run_suite(3, 0, identity_n=8, divisibility_n=8)
-    failed = {(c.name, c.model, c.n): c.witness for c in report.failures()}
+    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
     assert failed.get((check, owner, 3)) == witness
+
+
+# Each case sends one object, the first of its cell, to an image that breaks
+# its family's definition, built unvalidated as the maps build theirs:
+# (map, input model, input, the image's data, check that must fail, the
+# check's model, its witness).  The image is no member of its target cell,
+# so the check fails without computing anything on it.
+INVALID_IMAGES = [
+    ("involution_t", "dellac", "1 1 2 2 3 3", (1, 1, 1, 1, 1, 1),
+     "involution-t", "dellac", "1 1 2 2 3 3"),
+    ("involution_r", "pd2n", "2 1 4 3 6 5 8 7", (1, 2, 3, 4, 5, 6, 7, 8),
+     "involution-r", "pd2n", "2 1 4 3 6 5 8 7"),
+    ("chain_to_settuple", "chain", ";1;1,2;1,2,3", ((1,), (1,), (1,)),
+     "chain-settuple-roundtrip", "settuple", ";1;1,2;1,2,3"),
+    ("settuple_to_chain", "settuple", "1;2;3", ((), (1,), (1,), (1,)),
+     "settuple-chain-roundtrip", "settuple", "1;2;3"),
+    ("phi", "chain", ";1;1,2;1,2,3", ((1, 1), (1, 1), (1, 1)),
+     "phi-roundtrip", "hetyei", ";1;1,2;1,2,3"),
+    ("phi_inverse", "hetyei", "1,1;1,1;2,3", ((), (1,), (1,), (1, 2, 3)),
+     "phi-inverse-roundtrip", "hetyei", "1,1;1,1;2,3"),
+    ("reduce", "settuple", "1;2;3", ((1,), (1,)), "reduce-lift", "settuple", "1;2;3"),
+    ("lift", "dellac", "1 1 2 2", (1, 1, 1, 1, 1, 1), "reduce-lift", "dellac", "1 1 3 2 2 3"),
+]
+
+
+@pytest.mark.parametrize("name,model,text,data,check,owner,witness", INVALID_IMAGES)
+def test_suite_reports_an_invalid_map_image(monkeypatch, capsys, name, model, text, data,
+                                            check, owner, witness):
+    real = getattr(maps, name)
+    target = models.parse(model, text)
+    good = real(target)
+    image = models._trusted(type(good), good.n, data)
+    with pytest.raises(models.ModelInvariantError):
+        type(good)(good.n, data)
+
+    monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
+    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
+    assert failed.get((check, owner, 3)) == witness
+    assert main(["verify", "--max-n", "3"]) == 1
+
+
+def test_suite_reports_invalid_images_of_a_whole_family(monkeypatch, capsys):
+    # t puts every dot of every Dellac configuration in column 1, which is
+    # valid at order 1 only
+    real = maps.involution_t
+
+    def column_one(obj):
+        if isinstance(obj, DellacConfiguration):
+            return models._trusted(DellacConfiguration, obj.n, (1,) * (2 * obj.n))
+        return real(obj)
+
+    monkeypatch.setattr(maps, "involution_t", column_one)
+    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
+    assert failed == {("involution-t", "dellac", 2): "1 1 2 2",
+                      ("involution-t", "dellac", 3): "1 1 2 2 3 3"}
+    assert main(["verify", "--max-n", "3"]) == 1
+
+
+@pytest.mark.parametrize("model,cls,data,text", [
+    ("dellac", DellacConfiguration, (1, 1, 2, 2, 3, 4), "1 1 2 2 3 4"),
+    # no subset holds 1, so neither k nor phi is defined on it
+    ("chain", FeiginChain, ((), (2,), (2, 3), (2, 3)), ";2;2,3;2,3"),
+])
+def test_suite_reports_an_invalid_enumerated_object(monkeypatch, capsys, model, cls, data,
+                                                    text):
+    # the enumerators build unvalidated objects too; this one replaces the
+    # first of its order-3 cell, and parse refuses it
+    real = models._ENUMERATORS[model]
+    bad = models._trusted(cls, 3, data)
+
+    def sabotaged(n):
+        objs = list(real(n))
+        return [bad] + objs[1:] if n == 3 else objs
+
+    monkeypatch.setitem(models._ENUMERATORS, model, sabotaged)
+    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
+    assert failed[("serialization-roundtrip", model, 3)] == text
+    assert failed[("total", model, 3)] == "expected 7, got 6"
+    assert main(["verify", "--max-n", "3"]) == 1
 
 
 def test_pair_count_bound_is_honored():
