@@ -225,8 +225,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.max_n, args.pairs_n, limit=_guard_limit(args),
-                       threads=args.threads)
+    report = run_suite(args.max_n, args.pairs_n, limit=_guard_limit(args))
     if args.json or args.format == "json":
         print(report.to_json(indent=2))
     elif args.format == "csv":
@@ -298,8 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "guard, --guard does not apply to it")
     p.add_argument("--json", action="store_true",
                    help="shorthand for --format json")
-    p.add_argument("--threads", type=_positive, default=1,
-                   help="parallelize enumeration cells")
     p.set_defaults(func=_cmd_verify)
 
     return parser

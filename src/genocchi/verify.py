@@ -26,8 +26,9 @@ models).  The serialization round-trip validates every enumerated object
 through parse before anything else reads it, and a cell holds only the
 objects it accepts.  A map image counts as valid only as a member of its
 target cell: a non-member image fails the check that guards its map, with
-the source object as witness (reduce-lift names the first l = n object),
-and no statistic or map is computed on it.
+the source object as witness (reduce-lift names the first l = n object
+that reduce and lift do not carry back to itself), and no statistic or map
+is computed on it.
 
 Failures never raise; they are collected as check records carrying a
 replayable witness (a canonical serialization whenever an object is at
@@ -37,7 +38,6 @@ fault).  Reports serialize to stable JSON and to plain text.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress, permutations
 from math import factorial
@@ -279,21 +279,13 @@ class _Cell:
 _INVOLUTIVE = ("pd2n", "dellac", "settuple")
 
 
-def _enumerate_cells(n: int, limit: int | None, threads: int) -> dict[str, list]:
-    def cell(model: str) -> list:
-        return list(models.enumerate_model(model, n, limit))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {model: pool.submit(cell, model) for model in MODEL_NAMES}
-            return {model: futures[model].result() for model in MODEL_NAMES}
-    return {model: cell(model) for model in MODEL_NAMES}
-
-
 def _histogram(values, n: int) -> tuple[int, ...]:
+    """Counts of the values 1..n; a value outside that range is counted
+    nowhere, so the histogram check that reads it fails."""
     out = [0] * n
     for v in values:
-        out[v - 1] += 1
+        if 1 <= v <= n:
+            out[v - 1] += 1
     return tuple(out)
 
 
@@ -317,14 +309,15 @@ def _matrix_report(n: int, stats: dict[str, list[tuple[int, int]]]) -> Consisten
     return report
 
 
-def count_matrix(n: int, *, limit: int | None = models.DEFAULT_ENUMERATION_LIMIT,
-                 threads: int = 1) -> ConsistencyReport:
+def count_matrix(n: int, *,
+                 limit: int | None = models.DEFAULT_ENUMERATION_LIMIT) -> ConsistencyReport:
     """Totals and (k, l) histograms of all five families at order n, each
-    compared against row n of the Kreweras triangle."""
-    cells = _enumerate_cells(n, limit, threads)
-    return _matrix_report(
-        n, {m: [models.statistics(o) for o in objs] for m, objs in cells.items()}
-    )
+    compared against row n of the Kreweras triangle.  An order beyond
+    `limit` raises ResourceGuardError."""
+    return _matrix_report(n, {
+        m: [models.statistics(o) for o in models.enumerate_model(m, n, limit)]
+        for m in MODEL_NAMES
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +477,17 @@ def _reduction_checks(report: ConsistencyReport, cells: dict[str, _Cell],
     for model in _INVOLUTIVE:
         cell, lower = cells[model], below[model]
         primed = [o for o, (_, l) in zip(cell.objs, cell.stats) if l == n]
-        reduced = [lower.intern(maps.reduce(o)) for o in primed]
-        distinct = set(reduced)
-        ok = (
-            len(primed) == smaller
-            and len(distinct) == len(reduced)
-            and distinct == lower.pos.keys()
-        )
-        if ok:
-            # reduce is a bijection onto the cell below here, so
-            # lift(reduce(o)) == o for every primed o also gives
-            # reduce(lift(b)) == b for every b below
+        if len(primed) != smaller:
+            witness = models.serialize(primed[0]) if primed else "no primed objects"
+        else:
+            # lift(reduce(o)) == o for every primed o makes reduce injective,
+            # so with the counts equal a bijection onto the cell below, which
+            # gives reduce(lift(b)) == b for every b below too
             lifted = lower.images(maps.lift, cell)
-            ok = all(lower.lookup(lifted, r) == o for o, r in zip(primed, reduced))
-        witness = None if ok else (models.serialize(primed[0]) if primed else "no primed objects")
-        _check(report.checks, "reduce-lift", model, n, ok, witness)
+            witness = _first_bad(primed, (
+                lower.lookup(lifted, maps.reduce(o)) == o for o in primed
+            ))
+        _check(report.checks, "reduce-lift", model, n, witness is None, witness)
 
 
 def _embedding_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
@@ -537,7 +526,12 @@ def _pair_count_check(report: ConsistencyReport) -> None:
 # order-independent triangle checks
 
 
-def _triangle_checks(identity_n: int, divisibility_n: int) -> list[Check]:
+# the ranges of the triangle sweeps, which take milliseconds
+IDENTITY_N = 60
+DIVISIBILITY_N = 200
+
+
+def _triangle_checks() -> list[Check]:
     out: list[Check] = []
 
     def sweep(name: str, start: int, stop: int, predicate) -> None:
@@ -571,11 +565,11 @@ def _triangle_checks(identity_n: int, divisibility_n: int) -> list[Check]:
     def divisible(n: int) -> bool:
         return triangles.median_genocchi(n) % (1 << n) == 0
 
-    sweep("kreweras-symmetry", 1, identity_n, symmetric)
-    sweep("kreweras-borders", 2, identity_n, borders)
-    sweep("kreweras-row-sums", 1, identity_n, row_sum)
-    sweep("kreweras-difference-identity", 2, identity_n, difference)
-    sweep("median-divisibility", 0, divisibility_n, divisible)
+    sweep("kreweras-symmetry", 1, IDENTITY_N, symmetric)
+    sweep("kreweras-borders", 2, IDENTITY_N, borders)
+    sweep("kreweras-row-sums", 1, IDENTITY_N, row_sum)
+    sweep("kreweras-difference-identity", 2, IDENTITY_N, difference)
+    sweep("median-divisibility", 0, DIVISIBILITY_N, divisible)
 
     fresh_s, fresh_k = triangles.SeidelTriangle(), triangles.KrewerasTriangle()
     stable = all(
@@ -591,25 +585,22 @@ def _triangle_checks(identity_n: int, divisibility_n: int) -> list[Check]:
 
 
 def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
-              limit: int | None = models.DEFAULT_ENUMERATION_LIMIT,
-              threads: int = 1, identity_n: int = 60,
-              divisibility_n: int = 200) -> SuiteReport:
+              limit: int | None = models.DEFAULT_ENUMERATION_LIMIT) -> SuiteReport:
     """Run every consistency check up to order max_n.
 
     pairs_n bounds the independent coordinate-pair count (None skips it)
-    and is its own guard: `limit` does not apply to it.  Triangle
-    identities always run over their full stated ranges, which are cheap.
-    threads > 1 parallelizes enumeration cells only; results are
-    aggregated deterministically, so the report does not depend on
-    scheduling.  Invariant violations are reported, not raised.  An order
-    beyond `limit` raises ResourceGuardError before any work starts.
+    and is its own guard: `limit` does not apply to it.  The triangle
+    identities always run over their full ranges (IDENTITY_N and
+    DIVISIBILITY_N), which are cheap.  The run is serial and the report
+    deterministic.  Invariant violations are reported, not raised.  An
+    order beyond `limit` raises ResourceGuardError before any work starts.
     """
     models.check_enumeration_guard(max_n, limit)
     reports = []
     below: dict[str, _Cell] = {}
     for n in range(1, max_n + 1):
-        roundtrips = {m: _roundtrip(m, objs)
-                      for m, objs in _enumerate_cells(n, limit, threads).items()}
+        roundtrips = {m: _roundtrip(m, list(models.enumerate_model(m, n, limit)))
+                      for m in MODEL_NAMES}
         cells = {m: _Cell(valid) for m, (valid, _, _) in roundtrips.items()}
         report = _matrix_report(n, {m: cell.stats for m, cell in cells.items()})
         _serialization_checks(report, roundtrips)
@@ -629,5 +620,5 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
         max_n=max_n,
         pairs_n=pairs_n,
         reports=reports,
-        triangle_checks=_triangle_checks(identity_n, divisibility_n),
+        triangle_checks=_triangle_checks(),
     )

@@ -331,8 +331,7 @@ def test_verify_json_is_byte_stable(capsys, max_n):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[max_n]
 
 
-def test_verify_threads_give_identical_output(capsys):
-    _, solo, _ = run(capsys, "verify", "--max-n", "3", "--pairs-n", "2", "--json")
-    _, multi, _ = run(capsys, "verify", "--max-n", "3", "--pairs-n", "2", "--json",
-                      "--threads", "4")
-    assert solo == multi
+def test_verify_refuses_the_removed_threads_option(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--threads", "4")
+    assert code == 2
+    assert out == ""

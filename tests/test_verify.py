@@ -40,21 +40,18 @@ def test_order3_reference_is_total():
 
 
 def test_suite_passes_at_small_bounds():
-    report = run_suite(3, 2, identity_n=12, divisibility_n=30)
+    report = run_suite(3, 2)
     assert report.passed
     assert not report.failures()
     assert report.to_text().endswith("overall: PASS")
 
 
-def test_suite_is_deterministic_and_thread_count_invariant():
-    base = run_suite(3, 2, identity_n=10, divisibility_n=10)
-    again = run_suite(3, 2, identity_n=10, divisibility_n=10)
-    threaded = run_suite(3, 2, identity_n=10, divisibility_n=10, threads=4)
-    assert base.to_json() == again.to_json() == threaded.to_json()
+def test_suite_is_deterministic():
+    assert run_suite(3, 2).to_json() == run_suite(3, 2).to_json()
 
 
 def test_json_records_schema():
-    report = run_suite(2, 1, identity_n=8, divisibility_n=8)
+    report = run_suite(2, 1)
     records = json.loads(report.to_json())
     assert isinstance(records, list) and records
     seen_models = set()
@@ -85,7 +82,7 @@ def literal_redundant_positions(m):
 
 def test_suite_catches_the_uncorrected_redundancy_rule(monkeypatch):
     monkeypatch.setattr(models, "redundant_positions", literal_redundant_positions)
-    report = run_suite(3, 0, identity_n=8, divisibility_n=8)
+    report = run_suite(3, 0)
     assert not report.passed
     transport = [
         c for c in report.failures()
@@ -99,7 +96,7 @@ def test_suite_catches_the_uncorrected_redundancy_rule(monkeypatch):
 
 def test_failed_check_appears_in_text_and_csv_friendly_fields(monkeypatch):
     monkeypatch.setattr(models, "redundant_positions", literal_redundant_positions)
-    report = run_suite(3, 0, identity_n=8, divisibility_n=8)
+    report = run_suite(3, 0)
     for check in report.failures():
         assert check.witness, check.name
         assert check.status == "fail"
@@ -115,7 +112,7 @@ def test_each_cell_is_enumerated_once(monkeypatch):
         return enumerate_model(model, n, limit)
 
     monkeypatch.setattr(models, "enumerate_model", counting)
-    assert run_suite(4, 0, identity_n=8, divisibility_n=8).passed
+    assert run_suite(4, 0).passed
     assert len(calls) == 5 * 4
     assert sorted(calls) == sorted((m, n) for m in models.MODEL_NAMES for n in range(1, 5))
 
@@ -136,9 +133,9 @@ def failed_checks(report) -> dict:
     return {(c.name, c.model, c.n): c.witness for c in report.failures()}
 
 
-# Each case sends one object, the first of its cell, to a wrong but valid
-# image: (map, input model, input, wrong image, check that must fail, the
-# check's model, its witness).  reduce-lift names the first l = n object.
+# Each case sends one object to a wrong but valid image: (map, input model,
+# input, wrong image, check that must fail, the check's model, its witness).  reduce-lift names the first l = n object
+# that reduce and lift do not carry back to itself.
 SABOTAGED_MAPS = [
     ("chain_to_settuple", "chain", ";1;1,2;1,2,3", "2;1;3",
      "chain-settuple-roundtrip", "settuple", ";1;1,2;1,2,3"),
@@ -154,6 +151,10 @@ SABOTAGED_MAPS = [
      "involution-r", "dellac", "1 1 2 2 3 3"),
     ("reduce", "settuple", "1;2;3", "2;1", "reduce-lift", "settuple", "1;2;3"),
     ("lift", "dellac", "1 1 2 2", "1 2 3 1 2 3", "reduce-lift", "dellac", "1 1 3 2 2 3"),
+    # a collision: 2;1;3 reduces to the image of 1;2;3, an earlier object
+    ("reduce", "settuple", "2;1;3", "1;2", "reduce-lift", "settuple", "2;1;3"),
+    # 1 2 3 1 2 3 reduces to 1 2 1 2, whose lift now leads elsewhere
+    ("lift", "dellac", "1 2 1 2", "1 1 3 2 2 3", "reduce-lift", "dellac", "1 2 3 1 2 3"),
 ]
 _IMAGE_MODEL = {"chain_to_settuple": "settuple", "settuple_to_chain": "chain",
                 "phi": "hetyei", "phi_inverse": "chain"}
@@ -168,8 +169,23 @@ def test_suite_catches_a_sabotaged_map(monkeypatch, name, model, text, wrong,
     assert real(target) != image
 
     monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
-    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
+    failed = failed_checks(run_suite(3, 0))
     assert failed.get((check, owner, 3)) == witness
+
+
+# k of every Dellac configuration of order n falls outside 1..n: n + 1 (past
+# the last bin) or 0 (which wraps into bin n unless it is refused).
+OUT_OF_RANGE_STATISTICS = [lambda n: n + 1, lambda n: 0]
+
+
+@pytest.mark.parametrize("k_of", OUT_OF_RANGE_STATISTICS, ids=["n+1", "0"])
+def test_suite_reports_an_out_of_range_statistic(monkeypatch, capsys, k_of):
+    real = models.k_statistic
+    monkeypatch.setattr(models, "k_statistic", lambda obj: (
+        k_of(obj.n) if isinstance(obj, DellacConfiguration) else real(obj)))
+    failed = failed_checks(run_suite(3, 0))
+    assert failed[("k-histogram", "dellac", 1)] == "expected (1,), got (0,)"
+    assert main(["verify", "--max-n", "3"]) == 1
 
 
 # Each case sends one object, the first of its cell, to an image that breaks
@@ -206,7 +222,7 @@ def test_suite_reports_an_invalid_map_image(monkeypatch, capsys, name, model, te
         type(good)(good.n, data)
 
     monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
-    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
+    failed = failed_checks(run_suite(3, 0))
     assert failed.get((check, owner, 3)) == witness
     assert main(["verify", "--max-n", "3"]) == 1
 
@@ -222,7 +238,7 @@ def test_suite_reports_invalid_images_of_a_whole_family(monkeypatch, capsys):
         return real(obj)
 
     monkeypatch.setattr(maps, "involution_t", column_one)
-    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
+    failed = failed_checks(run_suite(3, 0))
     assert failed == {("involution-t", "dellac", 2): "1 1 2 2",
                       ("involution-t", "dellac", 3): "1 1 2 2 3 3"}
     assert main(["verify", "--max-n", "3"]) == 1
@@ -245,17 +261,17 @@ def test_suite_reports_an_invalid_enumerated_object(monkeypatch, capsys, model, 
         return [bad] + objs[1:] if n == 3 else objs
 
     monkeypatch.setitem(models._ENUMERATORS, model, sabotaged)
-    failed = failed_checks(run_suite(3, 0, identity_n=8, divisibility_n=8))
+    failed = failed_checks(run_suite(3, 0))
     assert failed[("serialization-roundtrip", model, 3)] == text
     assert failed[("total", model, 3)] == "expected 7, got 6"
     assert main(["verify", "--max-n", "3"]) == 1
 
 
 def test_pair_count_bound_is_honored():
-    report = run_suite(2, 2, identity_n=8, divisibility_n=8)
+    report = run_suite(2, 2)
     names = [c.name for c in report.checks]
     assert names.count("pair-count") == 2
-    skipped = run_suite(2, 0, identity_n=8, divisibility_n=8)
+    skipped = run_suite(2, 0)
     assert "pair-count" not in [c.name for c in skipped.checks]
 
 
