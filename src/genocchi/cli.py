@@ -24,15 +24,19 @@ from .verify import run_suite
 
 __all__ = ["main"]
 
-# map ops whose input model is implied by the op itself
-_FIXED_INPUT = {
-    "phi": "chain",
-    "phi-inv": "hetyei",
-    "to-settuple": "chain",
-    "to-chain": "settuple",
+# map op -> (its function in maps, its input: a model, "permutation" for a
+# word, or None when --model names it)
+_MAP_OPS = {
+    "phi": ("phi", "chain"),
+    "phi-inv": ("phi_inverse", "hetyei"),
+    "to-settuple": ("chain_to_settuple", "chain"),
+    "to-chain": ("settuple_to_chain", "settuple"),
+    "t": ("involution_t", None),
+    "r": ("involution_r", None),
+    "reduce": ("reduce", None),
+    "lift": ("lift", None),
+    "embed": ("embed_permutation", "permutation"),
 }
-# map ops that need an explicit --model
-_MODEL_OPS = ("t", "r", "reduce", "lift")
 
 
 def _positive(text: str) -> int:
@@ -176,27 +180,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _apply_map(op: str, model: str | None, text: str):
-    if op == "embed":
-        return maps.embed_permutation(models._word(text))
-    obj = models.parse(model, text)
-    if op == "phi":
-        return maps.phi(obj)
-    if op == "phi-inv":
-        return maps.phi_inverse(obj)
-    if op == "to-settuple":
-        return maps.chain_to_settuple(obj)
-    if op == "to-chain":
-        return maps.settuple_to_chain(obj)
-    if op == "t":
-        return maps.involution_t(obj)
-    if op == "r":
-        return maps.involution_r(obj)
-    if op == "reduce":
-        return maps.reduce(obj)
-    return maps.lift(obj)
-
-
 def _read_stdin() -> str:
     try:
         return sys.stdin.read().strip()
@@ -205,16 +188,19 @@ def _read_stdin() -> str:
 
 
 def _cmd_map(args) -> int:
-    model = _FIXED_INPUT.get(args.op, args.model)
-    if args.op in _MODEL_OPS and model is None:
+    name, model = _MAP_OPS[args.op]
+    model = model or args.model
+    if model is None:
         print(f"error: --op {args.op} requires --model", file=sys.stderr)
         return 2
-    if args.op in _FIXED_INPUT and args.model not in (None, model):
+    if args.model not in (None, model):
         print(f"error: --op {args.op} works on {model} input, not {args.model}",
               file=sys.stderr)
         return 2
     text = args.input if args.input is not None else _read_stdin()
-    out = models.serialize(_apply_map(args.op, model, text))
+    arg = models._word(text) if model == "permutation" else models.parse(model, text)
+    # looked up at each call, so a replaced map in maps is the one applied
+    out = models.serialize(getattr(maps, name)(arg))
     if args.format == "csv":
         _write_csv(("output",), [(out,)])
     elif args.format == "json":
@@ -226,7 +212,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.max_n, args.pairs_n, limit=_guard_limit(args))
-    if args.json or args.format == "json":
+    if args.format == "json":
         print(report.to_json(indent=2))
     elif args.format == "csv":
         rows = [(c.n if c.n is not None else "", c.model, c.name, c.status,
@@ -280,9 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", parents=[common],
                        help="apply a bijection, involution, or order map to one object")
-    p.add_argument("--op", required=True,
-                   choices=("phi", "phi-inv", "to-settuple", "to-chain",
-                            "t", "r", "reduce", "lift", "embed"))
+    p.add_argument("--op", required=True, choices=tuple(_MAP_OPS))
     p.add_argument("--model", choices=("pd2n", "dellac", "settuple"), default=None,
                    help="input model for t, r, reduce, lift")
     p.add_argument("--input", metavar="S", default=None,
@@ -295,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs-n", type=_nonnegative, default=4,
                    help="independent pair-count bound (0 skips it); it is its own "
                         "guard, --guard does not apply to it")
-    p.add_argument("--json", action="store_true",
+    p.add_argument("--json", action="store_const", dest="format", const="json",
                    help="shorthand for --format json")
     p.set_defaults(func=_cmd_verify)
 

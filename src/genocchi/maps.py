@@ -89,10 +89,6 @@ def settuple_to_chain(s: SetTuple) -> FeiginChain:
     acc: list[tuple[int, ...]] = [()]
     for i, part in enumerate(s.sets, 1):
         if len(part) == 2:
-            if i not in cur:
-                raise ModelInvariantError(
-                    f"set {i} has two elements but {i} is absent from I_{i - 1}"
-                )
             cur.discard(i)
         cur.update(part)
         acc.append(tuple(sorted(cur)))

@@ -23,6 +23,10 @@ hetyei    pair tuples ({u_1,v_1}, .., {u_n,v_n}) with u_l, v_l in [l] and the
           contains 1 sits at n-l+1.  k: the largest redundant position sits
           at n-k+1 (see redundant_positions).
 
+Each family class computes its own k and l, by the definition above, in
+its methods _k and _l; callers read them through k_statistic, l_statistic
+and statistics.
+
 Canonical serializations (ASCII, no trailing whitespace):
 
     pd2n      "2 1 6 3 7 4 8 5"                   space-separated word
@@ -54,7 +58,6 @@ whose every object it has validated through parse.
 from __future__ import annotations
 
 import re
-from functools import singledispatch
 from itertools import combinations
 from operator import gt, itemgetter, lt
 from typing import Iterator
@@ -183,6 +186,12 @@ class DumontPermutation(ModelObject):
     def serialize(self) -> str:
         return " ".join(str(v) for v in self.word)
 
+    def _k(self) -> int:
+        return self.word[0] // 2
+
+    def _l(self) -> int:
+        return (self.word[-1] - 1) // 2
+
     @classmethod
     def from_text(cls, text: str) -> "DumontPermutation":
         values = _word(text)
@@ -224,6 +233,12 @@ class DellacConfiguration(ModelObject):
 
     def serialize(self) -> str:
         return " ".join(str(c) for c in self.row_columns)
+
+    def _k(self) -> int:
+        return self.row_columns[self.n]
+
+    def _l(self) -> int:
+        return self.row_columns[self.n - 1]
 
     @classmethod
     def from_text(cls, text: str) -> "DellacConfiguration":
@@ -274,6 +289,12 @@ class FeiginChain(ModelObject):
 
     def serialize(self) -> str:
         return ";".join(",".join(str(v) for v in part) for part in self.subsets)
+
+    def _k(self) -> int:
+        return next(i for i, part in enumerate(self.subsets) if 1 in part)
+
+    def _l(self) -> int:
+        return next(i for i, part in enumerate(self.subsets) if self.n in part)
 
     @classmethod
     def from_text(cls, text: str) -> "FeiginChain":
@@ -335,6 +356,12 @@ class SetTuple(ModelObject):
     def serialize(self) -> str:
         return ";".join(",".join(str(v) for v in part) for part in self.sets)
 
+    def _k(self) -> int:
+        return next(j for j, part in enumerate(self.sets, 1) if 1 in part)
+
+    def _l(self) -> int:
+        return next(j for j, part in enumerate(self.sets, 1) if self.n in part)
+
     @classmethod
     def from_text(cls, text: str) -> "SetTuple":
         parts = text.split(";")
@@ -370,6 +397,12 @@ class HetyeiTuple(ModelObject):
 
     def serialize(self) -> str:
         return ";".join(f"{u},{v}" for u, v in self.pairs)
+
+    def _k(self) -> int:
+        return self.n + 1 - max(redundant_positions(self))
+
+    def _l(self) -> int:
+        return self.n + 1 - max(i for i, (u, v) in enumerate(self.pairs, 1) if 1 in (u, v))
 
     @classmethod
     def from_text(cls, text: str) -> "HetyeiTuple":
@@ -486,64 +519,14 @@ def serialize(obj) -> str:
 # statistics
 
 
-@singledispatch
 def k_statistic(obj) -> int:
-    raise TypeError(f"no k statistic for {type(obj).__name__}")
+    """The statistic k of any model object."""
+    return obj._k()
 
 
-@singledispatch
 def l_statistic(obj) -> int:
-    raise TypeError(f"no l statistic for {type(obj).__name__}")
-
-
-@k_statistic.register
-def _(obj: DumontPermutation) -> int:
-    return obj.word[0] // 2
-
-
-@l_statistic.register
-def _(obj: DumontPermutation) -> int:
-    return (obj.word[-1] - 1) // 2
-
-
-@k_statistic.register
-def _(obj: DellacConfiguration) -> int:
-    return obj.row_columns[obj.n]
-
-
-@l_statistic.register
-def _(obj: DellacConfiguration) -> int:
-    return obj.row_columns[obj.n - 1]
-
-
-@k_statistic.register
-def _(obj: FeiginChain) -> int:
-    return next(i for i, part in enumerate(obj.subsets) if 1 in part)
-
-
-@l_statistic.register
-def _(obj: FeiginChain) -> int:
-    return next(i for i, part in enumerate(obj.subsets) if obj.n in part)
-
-
-@k_statistic.register
-def _(obj: SetTuple) -> int:
-    return next(j for j, part in enumerate(obj.sets, 1) if 1 in part)
-
-
-@l_statistic.register
-def _(obj: SetTuple) -> int:
-    return next(j for j, part in enumerate(obj.sets, 1) if obj.n in part)
-
-
-@k_statistic.register
-def _(obj: HetyeiTuple) -> int:
-    return obj.n + 1 - max(redundant_positions(obj))
-
-
-@l_statistic.register
-def _(obj: HetyeiTuple) -> int:
-    return obj.n + 1 - max(i for i, (u, v) in enumerate(obj.pairs, 1) if 1 in (u, v))
+    """The statistic l of any model object."""
+    return obj._l()
 
 
 def statistics(obj) -> tuple[int, int]:

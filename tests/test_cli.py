@@ -234,6 +234,11 @@ def test_map_usage_errors(capsys):
     code, _, err = run(capsys, "map", "--op", "phi", "--model", "settuple",
                        "--input", ";1;1,2")
     assert code == 2 and "chain" in err
+    # embed reads a permutation word, whatever family --model names
+    code, out, err = run(capsys, "map", "--op", "embed", "--model", "dellac",
+                         "--input", "2 1")
+    assert (code, out) == (2, "")
+    assert err == "error: --op embed works on permutation input, not dellac\n"
 
 
 def test_map_invalid_objects_exit_3(capsys):
@@ -314,6 +319,15 @@ def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--pairs-n", "1",
                        "--format", "csv")
     assert code == 0
+    assert out.splitlines()[0] == "n,model,name,status,witness"
+
+
+def test_verify_json_is_format_json(capsys):
+    code, by_flag, _ = run(capsys, "verify", "--max-n", "2", "--json")
+    assert code == 0
+    assert run(capsys, "verify", "--max-n", "2", "--format", "json")[1] == by_flag
+    # both set the one output format, so the last of them wins
+    _, out, _ = run(capsys, "verify", "--max-n", "2", "--json", "--format", "csv")
     assert out.splitlines()[0] == "n,model,name,status,witness"
 
 

@@ -471,6 +471,57 @@ def test_settuple_statistics_are_the_unique_positions(objects):
         assert sum(4 in part for part in s.sets) == 1
 
 
+# k and l restated from the definitions in the models docstring, from each
+# object's data alone, sharing no code with models
+
+
+def defined_redundant_positions(n, pairs):
+    """Positions of the redundancy chain n = l_1 > .. > l_m (continue from l
+    with the smaller entry of the pair at l until that pair is {l, l}):
+    l in [l_m, n-1] when the largest chain value <= l is an entry of the
+    pair at l, and n when its pair is {n, n}."""
+    chain = [n]
+    while pairs[chain[-1] - 1] != (chain[-1], chain[-1]):
+        chain.append(min(pairs[chain[-1] - 1]))
+    out = {n} if pairs[n - 1] == (n, n) else set()
+    out.update(l for l in range(chain[-1], n) if max(c for c in chain if c <= l) in pairs[l - 1])
+    return out
+
+
+def the_one(values):
+    (value,) = values
+    return value
+
+
+DEFINED_STATISTICS = {
+    # sigma(1) = 2k and sigma(2n+2) = 2l + 1
+    "pd2n": lambda n, word: (the_one(k for k in range(1, n + 1) if word[0] == 2 * k),
+                             the_one(l for l in range(1, n + 1) if word[-1] == 2 * l + 1)),
+    # k = c_{n+1} and l = c_n
+    "dellac": lambda n, cols: (cols[n], cols[n - 1]),
+    # the first index i whose subset I_i holds 1 (for k) or n (for l)
+    "chain": lambda n, subsets: (min(i for i in range(n + 1) if 1 in subsets[i]),
+                                 min(i for i in range(n + 1) if n in subsets[i])),
+    # the unique j with 1 (for k) or n (for l) in S_j
+    "settuple": lambda n, sets: (the_one(j for j in range(1, n + 1) if 1 in sets[j - 1]),
+                                 the_one(j for j in range(1, n + 1) if n in sets[j - 1])),
+    # the largest redundant position sits at n-k+1, and the last position
+    # whose pair holds 1 at n-l+1
+    "hetyei": lambda n, pairs: (n + 1 - max(defined_redundant_positions(n, pairs)),
+                                n + 1 - max(p for p in range(1, n + 1) if 1 in pairs[p - 1])),
+}
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_statistics_follow_the_definitions(model, objects):
+    for n in range(1, 7):
+        for obj in objects(model, n):
+            k, l = DEFINED_STATISTICS[model](n, getattr(obj, DATA_ATTRIBUTES[type(obj)]))
+            assert models.k_statistic(obj) == k, obj
+            assert models.l_statistic(obj) == l, obj
+            assert models.statistics(obj) == (k, l), obj
+
+
 # ---------------------------------------------------------------------------
 # redundancy
 
