@@ -16,10 +16,10 @@ import csv
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import maps, models, triangles
-from .models import MODEL_NAMES
+from .models import _INVOLUTIVE, MODEL_NAMES
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -132,6 +132,9 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     objs = models.enumerate_model(args.model, args.n, _guard_limit(args))
+    # the first object is built before any output, so an order too deep for
+    # the recursion limit leaves stdout empty in every format
+    objs = chain((next(objs),), objs)
     if args.format == "csv":
         if args.stats:
             rows = ((models.serialize(o), *models.statistics(o)) for o in objs)
@@ -227,8 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default text)")
-    common.add_argument("--guard", type=_positive, metavar="N", default=None,
-                        help="raise the enumeration resource guard to order N")
+    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded.add_argument("--guard", type=_positive, metavar="N", default=None,
+                         help="raise the enumeration resource guard to order N")
 
     parser = argparse.ArgumentParser(
         prog="genocchi",
@@ -249,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="genocchi prints n = 1..N; median and normalized print n = 0..N-1")
     p.set_defaults(func=_cmd_sequence)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[guarded],
                        help="list all objects of a model at order n")
     p.add_argument("--model", choices=MODEL_NAMES, required=True)
     p.add_argument("--n", type=_positive, required=True)
@@ -257,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="append the (k, l) statistics to each line")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[guarded],
                        help="count objects, optionally split by a statistic")
     p.add_argument("--model", choices=MODEL_NAMES, required=True)
     p.add_argument("--n", type=_positive, required=True)
@@ -267,13 +271,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", parents=[common],
                        help="apply a bijection, involution, or order map to one object")
     p.add_argument("--op", required=True, choices=tuple(_MAP_OPS))
-    p.add_argument("--model", choices=("pd2n", "dellac", "settuple"), default=None,
+    p.add_argument("--model", choices=_INVOLUTIVE, default=None,
                    help="input model for t, r, reduce, lift")
     p.add_argument("--input", metavar="S", default=None,
                    help="serialized input object (reads standard input when omitted)")
     p.set_defaults(func=_cmd_map)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[guarded],
                        help="run the cross-model consistency suite")
     p.add_argument("--max-n", type=_positive, default=6)
     p.add_argument("--pairs-n", type=_nonnegative, default=4,
@@ -301,6 +305,12 @@ def main(argv: list[str] | None = None) -> int:
     except models.ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # the enumerators recurse once per component of an object, so a deep
+        # enough order fails at its first object
+        print(f"error: the order is too deep for Python's recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away; silence the shutdown flush as well
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -10,6 +10,12 @@ controlled way:
     reduce / lift                           l = n objects <-> order n-1
     embed_permutation                       S_n into the singleton settuples
 
+The bodies of t, r, reduce and lift live in models, as the methods _t,
+_r, _reduce and _lift of DumontPermutation, DellacConfiguration and
+SetTuple.  The functions here call the argument's method, raise TypeError
+on any other family before doing anything else, and, for reduce, check
+once that l = n and n >= 2.
+
 Inputs are objects that were validated when they were built.  Every map
 builds its image through the trusted constructor of models, without
 validating it again, since the image of a valid object is valid by
@@ -39,19 +45,15 @@ the step number and pool, since it can only mean an implementation bug.
 
 from __future__ import annotations
 
-from functools import singledispatch
 from itertools import chain as _chain
 from typing import Sequence
 
 from .models import (
-    DellacConfiguration,
-    DumontPermutation,
     FeiginChain,
     HetyeiTuple,
     ModelInvariantError,
     SetTuple,
     _trusted,
-    k_statistic,
     l_statistic,
 )
 
@@ -211,136 +213,44 @@ def phi_inverse(m: HetyeiTuple) -> FeiginChain:
 
 
 # ---------------------------------------------------------------------------
-# involutions
+# involutions, order reduction and lift: methods of the families that carry them
 
 
-@singledispatch
+def _method(obj, name: str, attr: str):
+    """The method attr of obj that implements the map name; TypeError when
+    obj's family does not carry the map."""
+    try:
+        return getattr(obj, attr)
+    except AttributeError:
+        raise TypeError(f"{name} is not defined for {type(obj).__name__}") from None
+
+
 def involution_t(obj):
     """Exchange the two statistics: maps a (k, l) object to an (l, k) object."""
-    raise TypeError(f"involution_t is not defined for {type(obj).__name__}")
+    return _method(obj, "involution_t", "_t")()
 
 
-@involution_t.register
-def _(obj: DumontPermutation) -> DumontPermutation:
-    k, l = k_statistic(obj), l_statistic(obj)
-    if k == l:
-        return obj
-    cycle = {2 * k: 2 * l, 2 * l: 2 * l + 1, 2 * l + 1: 2 * k + 1, 2 * k + 1: 2 * k}
-    return _trusted(DumontPermutation, obj.n, tuple(cycle.get(v, v) for v in obj.word))
-
-
-@involution_t.register
-def _(obj: DellacConfiguration) -> DellacConfiguration:
-    # swap the dots of rows n and n+1
-    cols = list(obj.row_columns)
-    cols[obj.n - 1], cols[obj.n] = cols[obj.n], cols[obj.n - 1]
-    return _trusted(DellacConfiguration, obj.n, tuple(cols))
-
-
-@involution_t.register
-def _(obj: SetTuple) -> SetTuple:
-    swap = {1: obj.n, obj.n: 1}
-    parts = tuple(
-        tuple(sorted(swap.get(v, v) for v in part)) for part in obj.sets
-    )
-    return _trusted(SetTuple, obj.n, parts)
-
-
-@singledispatch
 def involution_r(obj):
     """Half-turn symmetry: maps a (k, l) object to an (n+1-l, n+1-k) object."""
-    raise TypeError(f"involution_r is not defined for {type(obj).__name__}")
+    return _method(obj, "involution_r", "_r")()
 
 
-@involution_r.register
-def _(obj: DumontPermutation) -> DumontPermutation:
-    # sigma^r(i) = 2n+3 - sigma(2n+3-i)
-    m = 2 * obj.n + 3
-    return _trusted(DumontPermutation, obj.n, tuple(m - v for v in reversed(obj.word)))
-
-
-@involution_r.register
-def _(obj: DellacConfiguration) -> DellacConfiguration:
-    # half-turn of the board: the dot (j, i) moves to (n+1-j, 2n+1-i)
-    n = obj.n
-    return _trusted(DellacConfiguration, n, tuple(n + 1 - c for c in reversed(obj.row_columns)))
-
-
-@involution_r.register
-def _(obj: SetTuple) -> SetTuple:
-    n = obj.n
-    parts = tuple(
-        tuple(sorted(n + 1 - v for v in part)) for part in reversed(obj.sets)
-    )
-    return _trusted(SetTuple, n, parts)
-
-
-# ---------------------------------------------------------------------------
-# order reduction and lift
-
-
-@singledispatch
 def reduce(obj):
     """Strip an l = n object down to order n-1 (defined for n >= 2)."""
-    raise TypeError(f"reduce is not defined for {type(obj).__name__}")
-
-
-def _require_primed(obj, l: int) -> None:
+    strip = _method(obj, "reduce", "_reduce")
+    l = l_statistic(obj)
     if l != obj.n:
         raise ModelInvariantError(
             f"reduce needs l = n, but this object has l = {l} at order {obj.n}"
         )
     if obj.n < 2:
         raise ModelInvariantError("order 0 objects are not representable; need n >= 2")
+    return strip()
 
 
-@reduce.register
-def _(obj: DumontPermutation) -> DumontPermutation:
-    _require_primed(obj, l_statistic(obj))
-    # positions 2n+1, 2n+2 then necessarily hold 2n+2, 2n+1
-    return _trusted(DumontPermutation, obj.n - 1, obj.word[: 2 * obj.n])
-
-
-@reduce.register
-def _(obj: DellacConfiguration) -> DellacConfiguration:
-    _require_primed(obj, l_statistic(obj))
-    n = obj.n
-    # column n holds exactly the dots of rows n and 2n; drop them with it
-    cols = tuple(c for i, c in enumerate(obj.row_columns, 1) if i not in (n, 2 * n))
-    return _trusted(DellacConfiguration, n - 1, cols)
-
-
-@reduce.register
-def _(obj: SetTuple) -> SetTuple:
-    _require_primed(obj, l_statistic(obj))
-    # l = n forces S_n = {n}
-    return _trusted(SetTuple, obj.n - 1, obj.sets[:-1])
-
-
-@singledispatch
 def lift(obj):
     """Inverse of reduce: embed an order n-1 object as an l = n object of order n."""
-    raise TypeError(f"lift is not defined for {type(obj).__name__}")
-
-
-@lift.register
-def _(obj: DumontPermutation) -> DumontPermutation:
-    m = 2 * obj.n + 2
-    return _trusted(DumontPermutation, obj.n + 1, obj.word + (m + 2, m + 1))
-
-
-@lift.register
-def _(obj: DellacConfiguration) -> DellacConfiguration:
-    n = obj.n + 1
-    old = obj.row_columns
-    cols = old[: n - 1] + (n,) + old[n - 1 :] + (n,)
-    return _trusted(DellacConfiguration, n, cols)
-
-
-@lift.register
-def _(obj: SetTuple) -> SetTuple:
-    n = obj.n + 1
-    return _trusted(SetTuple, n, obj.sets + ((n,),))
+    return _method(obj, "lift", "_lift")()
 
 
 def embed_permutation(word: Sequence[int]) -> SetTuple:

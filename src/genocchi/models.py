@@ -25,7 +25,10 @@ hetyei    pair tuples ({u_1,v_1}, .., {u_n,v_n}) with u_l, v_l in [l] and the
 
 Each family class computes its own k and l, by the definition above, in
 its methods _k and _l; callers read them through k_statistic, l_statistic
-and statistics.
+and statistics.  pd2n, dellac and settuple also carry the involutions t
+and r and the order maps reduce and lift, as the methods _t, _r, _reduce
+and _lift; callers apply them through maps.involution_t, involution_r,
+reduce and lift, which check the family and reduce's precondition l = n.
 
 Canonical serializations (ASCII, no trailing whitespace):
 
@@ -45,14 +48,14 @@ Enumerators are pure, so concurrent or repeated runs agree.
 Objects are immutable, hashable tuples (tag, n, data): the tag is a small
 int per family, so objects of two families never compare equal, and the
 data is also read by its name (word, row_columns, subsets, sets, pairs).
-Invariants are validated at the boundary, once: the public constructors
-(DumontPermutation(n, word), ..., HetyeiTuple(n, pairs)) and parse check
-every defining condition and raise the first violation, as does
-maps.embed_permutation for its word.  The enumerators here and the maps in
-maps.py, whose outputs are valid by construction, build their objects
-through one trusted constructor that skips the check.  The verifier checks
-each map image by its membership in the target family's enumerated cell,
-whose every object it has validated through parse.
+Invariants are validated at the boundary, once: the public constructor
+shared by the five classes (DumontPermutation(n, word), ...,
+HetyeiTuple(n, pairs)) and parse check every defining condition and raise
+the first violation, as does maps.embed_permutation for its word.  The
+enumerators and the maps, whose outputs are valid by construction, build
+their objects through one trusted constructor that skips the check.  The
+verifier checks each map image by its membership in the target family's
+enumerated cell, whose every object it has validated through parse.
 """
 
 from __future__ import annotations
@@ -124,19 +127,18 @@ class ModelObject(tuple):
 
     n = property(itemgetter(1), doc="the order")
 
+    def __new__(cls, n, data):
+        """The object (n, data) of family cls, checked by the family's
+        __post_init__, looked up on the class at each call."""
+        obj = _new_tuple(cls, (cls._tag, n, data))
+        obj.__post_init__()
+        return obj
+
     def __getnewargs__(self):
         return self[1:]  # (n, data): copies and unpickled objects are validated
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self[1]!r}, {self._data}={self[2]!r})"
-
-
-def _validated(cls, n, data):
-    """The object (n, data) of family cls, checked by the family's
-    __post_init__, looked up on the class at each call."""
-    obj = _new_tuple(cls, (cls._tag, n, data))
-    obj.__post_init__()
-    return obj
 
 
 def _trusted(cls, n, data):
@@ -154,9 +156,6 @@ class DumontPermutation(ModelObject):
     __slots__ = ()
     _tag, _data = 0, "word"
     word = property(itemgetter(2), doc="sigma(1) .. sigma(2n+2)")
-
-    def __new__(cls, n: int, word: tuple[int, ...]) -> DumontPermutation:
-        return _validated(cls, n, word)
 
     def __post_init__(self) -> None:
         _, n, word = self
@@ -192,6 +191,26 @@ class DumontPermutation(ModelObject):
     def _l(self) -> int:
         return (self.word[-1] - 1) // 2
 
+    def _t(self) -> DumontPermutation:
+        k, l = k_statistic(self), l_statistic(self)
+        if k == l:
+            return self
+        cycle = {2 * k: 2 * l, 2 * l: 2 * l + 1, 2 * l + 1: 2 * k + 1, 2 * k + 1: 2 * k}
+        return _trusted(DumontPermutation, self.n, tuple(cycle.get(v, v) for v in self.word))
+
+    def _r(self) -> DumontPermutation:
+        # sigma^r(i) = 2n+3 - sigma(2n+3-i)
+        m = 2 * self.n + 3
+        return _trusted(DumontPermutation, self.n, tuple(m - v for v in reversed(self.word)))
+
+    def _reduce(self) -> DumontPermutation:
+        # with l = n, positions 2n+1, 2n+2 necessarily hold 2n+2, 2n+1
+        return _trusted(DumontPermutation, self.n - 1, self.word[: 2 * self.n])
+
+    def _lift(self) -> DumontPermutation:
+        m = 2 * self.n + 2
+        return _trusted(DumontPermutation, self.n + 1, self.word + (m + 2, m + 1))
+
     @classmethod
     def from_text(cls, text: str) -> "DumontPermutation":
         values = _word(text)
@@ -208,9 +227,6 @@ class DellacConfiguration(ModelObject):
     __slots__ = ()
     _tag, _data = 1, "row_columns"
     row_columns = property(itemgetter(2), doc="c_1 .. c_{2n}")
-
-    def __new__(cls, n: int, row_columns: tuple[int, ...]) -> DellacConfiguration:
-        return _validated(cls, n, row_columns)
 
     def __post_init__(self) -> None:
         _, n, cols = self
@@ -240,6 +256,29 @@ class DellacConfiguration(ModelObject):
     def _l(self) -> int:
         return self.row_columns[self.n - 1]
 
+    def _t(self) -> DellacConfiguration:
+        # swap the dots of rows n and n+1
+        cols = list(self.row_columns)
+        cols[self.n - 1], cols[self.n] = cols[self.n], cols[self.n - 1]
+        return _trusted(DellacConfiguration, self.n, tuple(cols))
+
+    def _r(self) -> DellacConfiguration:
+        # half-turn of the board: the dot (j, i) moves to (n+1-j, 2n+1-i)
+        n = self.n
+        return _trusted(DellacConfiguration, n, tuple(n + 1 - c for c in reversed(self.row_columns)))
+
+    def _reduce(self) -> DellacConfiguration:
+        n = self.n
+        # with l = n, column n holds exactly the dots of rows n and 2n; drop them with it
+        cols = tuple(c for i, c in enumerate(self.row_columns, 1) if i not in (n, 2 * n))
+        return _trusted(DellacConfiguration, n - 1, cols)
+
+    def _lift(self) -> DellacConfiguration:
+        n = self.n + 1
+        old = self.row_columns
+        cols = old[: n - 1] + (n,) + old[n - 1 :] + (n,)
+        return _trusted(DellacConfiguration, n, cols)
+
     @classmethod
     def from_text(cls, text: str) -> "DellacConfiguration":
         values = _word(text)
@@ -256,9 +295,6 @@ class FeiginChain(ModelObject):
     __slots__ = ()
     _tag, _data = 2, "subsets"
     subsets = property(itemgetter(2), doc="I_0 .. I_n, each ascending")
-
-    def __new__(cls, n: int, subsets: tuple[tuple[int, ...], ...]) -> FeiginChain:
-        return _validated(cls, n, subsets)
 
     def __post_init__(self) -> None:
         _, n, subsets = self
@@ -311,9 +347,6 @@ class SetTuple(ModelObject):
     _tag, _data = 3, "sets"
     sets = property(itemgetter(2), doc="S_1 .. S_n, each ascending")
 
-    def __new__(cls, n: int, sets: tuple[tuple[int, ...], ...]) -> SetTuple:
-        return _validated(cls, n, sets)
-
     def __post_init__(self) -> None:
         _, n, sets = self
         if n < 1:
@@ -362,6 +395,28 @@ class SetTuple(ModelObject):
     def _l(self) -> int:
         return next(j for j, part in enumerate(self.sets, 1) if self.n in part)
 
+    def _t(self) -> SetTuple:
+        swap = {1: self.n, self.n: 1}
+        parts = tuple(
+            tuple(sorted(swap.get(v, v) for v in part)) for part in self.sets
+        )
+        return _trusted(SetTuple, self.n, parts)
+
+    def _r(self) -> SetTuple:
+        n = self.n
+        parts = tuple(
+            tuple(sorted(n + 1 - v for v in part)) for part in reversed(self.sets)
+        )
+        return _trusted(SetTuple, n, parts)
+
+    def _reduce(self) -> SetTuple:
+        # l = n forces S_n = {n}
+        return _trusted(SetTuple, self.n - 1, self.sets[:-1])
+
+    def _lift(self) -> SetTuple:
+        n = self.n + 1
+        return _trusted(SetTuple, n, self.sets + ((n,),))
+
     @classmethod
     def from_text(cls, text: str) -> "SetTuple":
         parts = text.split(";")
@@ -374,9 +429,6 @@ class HetyeiTuple(ModelObject):
     __slots__ = ()
     _tag, _data = 4, "pairs"
     pairs = property(itemgetter(2), doc="(u_1, v_1) .. (u_n, v_n)")
-
-    def __new__(cls, n: int, pairs: tuple[tuple[int, int], ...]) -> HetyeiTuple:
-        return _validated(cls, n, pairs)
 
     def __post_init__(self) -> None:
         _, n, pairs = self
@@ -499,6 +551,11 @@ _MODEL_CLASSES: dict[str, type] = {
 }
 
 MODEL_NAMES: tuple[str, ...] = tuple(_MODEL_CLASSES)
+# the families that carry the maps t, r, reduce and lift, read off the
+# classes that define them
+_INVOLUTIVE: tuple[str, ...] = tuple(
+    model for model, cls in _MODEL_CLASSES.items() if hasattr(cls, "_t")
+)
 
 
 def parse(model: str, text: str):

@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 
-class SeidelTriangle:
-    """Memoized Seidel triangle.  Row i holds entries j = 1 .. ceil(i/2)."""
+class _MemoizedTriangle:
+    """Rows 1, 2, .. memoized as tuples; row 1 is (1,) and each later row
+    comes from _next_row, computed under a lock so concurrent readers agree."""
 
     def __init__(self) -> None:
         self._rows: list[tuple[int, ...]] = [(1,)]
@@ -63,6 +64,10 @@ class SeidelTriangle:
                 while len(self._rows) < i:
                     self._rows.append(self._next_row())
         return self._rows[i - 1]
+
+
+class SeidelTriangle(_MemoizedTriangle):
+    """Memoized Seidel triangle.  Row i holds entries j = 1 .. ceil(i/2)."""
 
     def _next_row(self) -> tuple[int, ...]:
         i = len(self._rows) + 1
@@ -89,29 +94,14 @@ class SeidelTriangle:
 
     def entry(self, i: int, j: int) -> int:
         """g(i, j); zero outside the support 1 <= j <= ceil(i/2)."""
-        if i < 1:
-            raise ValueError(f"row index must be >= 1, got {i}")
         row = self.row(i)
         if j < 1 or j > len(row):
             return 0
         return row[j - 1]
 
 
-class KrewerasTriangle:
+class KrewerasTriangle(_MemoizedTriangle):
     """Memoized Kreweras triangle.  Row n holds entries k = 1 .. n."""
-
-    def __init__(self) -> None:
-        self._rows: list[tuple[int, ...]] = [(1,)]
-        self._lock = threading.Lock()
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if n < 1:
-            raise ValueError(f"row index must be >= 1, got {n}")
-        if n > len(self._rows):
-            with self._lock:
-                while len(self._rows) < n:
-                    self._rows.append(self._next_row())
-        return self._rows[n - 1]
 
     def _next_row(self) -> tuple[int, ...]:
         prev = self._rows[-1]

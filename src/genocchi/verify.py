@@ -43,7 +43,7 @@ from itertools import compress, permutations
 from math import factorial
 
 from . import maps, models, triangles
-from .models import MODEL_NAMES
+from .models import _INVOLUTIVE, MODEL_NAMES
 
 __all__ = [
     "Check",
@@ -273,10 +273,6 @@ class _Cell:
 
     def statistics(self, obj) -> tuple[int, int] | None:
         return self.lookup(self.stats, obj)
-
-
-# families that carry the t and r involutions and the reduce/lift maps
-_INVOLUTIVE = ("pd2n", "dellac", "settuple")
 
 
 def _histogram(values, n: int) -> tuple[int, ...]:

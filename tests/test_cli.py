@@ -294,6 +294,26 @@ def test_verify_guard_refuses_with_no_output(capsys):
     assert "guard 6" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("triangle", "kreweras", "--rows", "3"),
+    ("sequence", "normalized", "--count", "3"),
+    ("map", "--op", "t", "--model", "pd2n", "--input", "2 1 6 3 7 4 8 5"),
+])
+def test_guard_only_where_an_enumeration_runs(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv, "--guard", "1")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_an_order_too_deep_for_the_recursion_limit_exits_2(capsys, fmt):
+    code, out, err = run(capsys, "enumerate", "--model", "pd2n", "--n", "500",
+                         "--guard", "500", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2

@@ -132,10 +132,13 @@ def test_involutions_commute_on_examples(objects):
 
 
 def test_involutions_undefined_for_chains():
-    with pytest.raises(TypeError):
-        maps.involution_t(obj("chain", ";1;1,2"))
-    with pytest.raises(TypeError):
-        maps.involution_r(obj("hetyei", "1,1;2,2"))
+    # ";2;1,2" has l = 1 at order 2: the TypeError comes before reduce's l = n check
+    for name in ("involution_t", "involution_r", "reduce", "lift"):
+        for model, cls, text in (("chain", "FeiginChain", ";1;1,2"),
+                                 ("chain", "FeiginChain", ";2;1,2"),
+                                 ("hetyei", "HetyeiTuple", "1,1;2,2")):
+            with pytest.raises(TypeError, match=f"^{name} is not defined for {cls}$"):
+                getattr(maps, name)(obj(model, text))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +152,11 @@ def test_reduce_examples():
 
 
 def test_reduce_requires_primed_object():
-    with pytest.raises(ModelInvariantError):
-        maps.reduce(obj("settuple", "1;3;2"))  # l = 2 at order 3
-    with pytest.raises(ModelInvariantError):
+    with pytest.raises(ModelInvariantError,
+                       match=r"^reduce needs l = n, but this object has l = 2 at order 3$"):
+        maps.reduce(obj("settuple", "1;3;2"))
+    with pytest.raises(ModelInvariantError,
+                       match=r"^order 0 objects are not representable; need n >= 2$"):
         maps.reduce(obj("pd2n", "2 1 4 3"))  # order 1 reduces below the domain
 
 
