@@ -93,20 +93,16 @@ def _exact_ints():
         set_limit(old)
 
 
-def _guard_limit(args) -> int | None:
-    return args.guard if args.guard is not None else models.DEFAULT_ENUMERATION_LIMIT
-
-
 @_exact_ints()
 def _cmd_triangle(args) -> int:
-    row_of = triangles.kreweras_row if args.which == "kreweras" else triangles.seidel_row
-    rows = [row_of(i) for i in range(1, args.rows + 1)]
+    rows_of = triangles._kreweras_rows if args.which == "kreweras" else triangles._seidel_rows
+    rows = islice(rows_of(), args.rows)
     if args.format == "csv":
         head = ("n", "k", "value") if args.which == "kreweras" else ("i", "j", "value")
         _write_csv(head, ((i, j, v) for i, row in enumerate(rows, 1)
                           for j, v in enumerate(row, 1)))
     elif args.format == "json":
-        _dump_json([list(row) for row in rows])
+        _dump_json_list(rows)
     else:
         for row in rows:
             print(" ".join(str(v) for v in row))
@@ -115,15 +111,14 @@ def _cmd_triangle(args) -> int:
 
 @_exact_ints()
 def _cmd_sequence(args) -> int:
-    if args.which == "genocchi":
-        pairs = [(n, triangles.genocchi(n)) for n in range(1, args.count + 1)]
-    else:
-        fn = triangles.median_genocchi if args.which == "median" else triangles.normalized_genocchi
-        pairs = [(n, fn(n)) for n in range(args.count)]
+    fn = {"genocchi": triangles.genocchi, "median": triangles.median_genocchi,
+          "normalized": triangles.normalized_genocchi}[args.which]
+    first = 1 if args.which == "genocchi" else 0
+    pairs = ((n, fn(n)) for n in range(first, first + args.count))
     if args.format == "csv":
         _write_csv(("n", "value"), pairs)
     elif args.format == "json":
-        _dump_json([value for _, value in pairs])
+        _dump_json_list(value for _, value in pairs)
     else:
         for _, value in pairs:
             print(value)
@@ -131,7 +126,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    objs = models.enumerate_model(args.model, args.n, _guard_limit(args))
+    objs = models.enumerate_model(args.model, args.n, args.guard)
     # the first object is built before any output, so an order too deep for
     # the recursion limit leaves stdout empty in every format
     objs = chain((next(objs),), objs)
@@ -160,7 +155,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    objs = models.enumerate_model(args.model, args.n, _guard_limit(args))
+    objs = models.enumerate_model(args.model, args.n, args.guard)
     if args.by:
         stat = models.k_statistic if args.by == "k" else models.l_statistic
         counts = [0] * args.n
@@ -185,7 +180,7 @@ def _cmd_count(args) -> int:
 
 def _read_stdin() -> str:
     try:
-        return sys.stdin.read().strip()
+        return sys.stdin.read().removesuffix("\n")
     except UnicodeDecodeError as exc:
         raise models.ModelSyntaxError(f"standard input is not valid text: {exc}") from None
 
@@ -214,7 +209,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.max_n, args.pairs_n, limit=_guard_limit(args))
+    report = run_suite(args.max_n, args.pairs_n, limit=args.guard)
     if args.format == "json":
         print(report.to_json(indent=2))
     elif args.format == "csv":
@@ -231,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default text)")
     guarded = argparse.ArgumentParser(add_help=False, parents=[common])
-    guarded.add_argument("--guard", type=_positive, metavar="N", default=None,
+    guarded.add_argument("--guard", type=_positive, metavar="N",
+                         default=models.DEFAULT_ENUMERATION_LIMIT,
                          help="raise the enumeration resource guard to order N")
 
     parser = argparse.ArgumentParser(

@@ -750,8 +750,8 @@ def _iter_settuples(n: int) -> Iterator[SetTuple]:
 
     def extend(j: int) -> Iterator[SetTuple]:
         if j > n:
-            if all(occ[v] == target[v] for v in range(1, n + 1)):
-                yield _trusted(SetTuple, n, tuple(acc))
+            # feasible(n) held: need <= 0 sums terms target[v] - occ[v] >= 0, all now 0
+            yield _trusted(SetTuple, n, tuple(acc))
             return
         choices: list[tuple[int, ...]] = []
         usable = [v for v in range(1, n + 1) if may_use(v, j)]
@@ -830,8 +830,8 @@ def enumerate_model(model: str, n: int,
 
 
 # The object count is named only up to this order: normalized_genocchi(n)
-# fills a cached Seidel triangle of about 2n^2 entries, which at a huge
-# order would itself be the work the guard refuses.
+# keeps no rows, but runs the Seidel triangle through row 2n + 2, about 2n^2
+# additions, which at a huge order would itself be the work the guard refuses.
 _COSTED_ORDER_MAX = 64
 
 

@@ -6,7 +6,9 @@ time, with g(1, 1) = 1 and entries vanishing outside 1 <= j <= ceil(i/2):
     odd rows    g(2p-1, j) = g(2p-1, j-1) + g(2p-2, j)    (left to right)
     even rows   g(2p, j)   = g(2p-1, j)   + g(2p, j+1)    (right to left)
 
-Three classical sequences live on its borders:
+so each row is the running sum of the row before it, taken left to right
+with one more entry on odd rows and right to left on even rows.  Three
+classical sequences live on its borders:
 
     genocchi(n)            = g(2n-1, n)      -> 1, 1, 3, 17, 155, 2073, ...
     median_genocchi(n)     = g(2n+2, 1)      -> 1, 2, 8, 56, 608, ...
@@ -26,14 +28,16 @@ Rows are symmetric, sum to normalized_genocchi(n), and end with
 normalized_genocchi(n-1) on both sides.
 
 All arithmetic uses native Python integers, so every entry is exact at any
-index.  Rows are computed once, memoized, and returned as immutable
-tuples; table construction is serialized by a lock so concurrent readers
-are safe.
+index.  Each triangle is a generator computing every row from the previous
+one alone.  Row tables memoize the rows asked of them, the sequences only
+the Seidel border pairs; a lock guards every step of a memo's generator.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
+from typing import Iterator
 
 __all__ = [
     "SeidelTriangle",
@@ -48,49 +52,50 @@ __all__ = [
 ]
 
 
-class _MemoizedTriangle:
-    """Rows 1, 2, .. memoized as tuples; row 1 is (1,) and each later row
-    comes from _next_row, computed under a lock so concurrent readers agree."""
+def _seidel_rows() -> Iterator[tuple[int, ...]]:
+    """Rows 1, 2, ... of the Seidel triangle; row i has ceil(i/2) entries."""
+    row = (1,)
+    while True:
+        yield row
+        row = tuple(accumulate(reversed(row)))[::-1]  # even: right to left
+        yield row
+        row = tuple(accumulate(row + (0,)))  # odd: left to right, one wider
 
-    def __init__(self) -> None:
-        self._rows: list[tuple[int, ...]] = [(1,)]
+
+def _kreweras_rows() -> Iterator[tuple[int, ...]]:
+    """Rows 1, 2, ... of the Kreweras triangle; row n has n entries."""
+    row = (1,)
+    while True:
+        yield row
+        first = sum(row)
+        out = [first, 2 * first - row[0]]
+        for k in range(3, len(row) + 2):
+            out.append(2 * out[k - 2] - out[k - 3] - row[k - 2] - row[k - 3])
+        row = tuple(out)
+
+
+class _Memo:
+    """Items 1, 2, ... of a generator, kept once read; a lock guards each next()."""
+
+    def __init__(self, source: Iterator[tuple[int, ...]]) -> None:
+        self._rows: list[tuple[int, ...]] = []
+        self._source = source
         self._lock = threading.Lock()
 
     def row(self, i: int) -> tuple[int, ...]:
         if i < 1:
             raise ValueError(f"row index must be >= 1, got {i}")
-        if i > len(self._rows):
-            with self._lock:
-                while len(self._rows) < i:
-                    self._rows.append(self._next_row())
+        with self._lock:
+            while len(self._rows) < i:
+                self._rows.append(next(self._source))
         return self._rows[i - 1]
 
 
-class SeidelTriangle(_MemoizedTriangle):
+class SeidelTriangle(_Memo):
     """Memoized Seidel triangle.  Row i holds entries j = 1 .. ceil(i/2)."""
 
-    def _next_row(self) -> tuple[int, ...]:
-        i = len(self._rows) + 1
-        prev = self._rows[-1]
-        width = (i + 1) // 2
-
-        def at(row: tuple[int, ...], j: int) -> int:
-            return row[j - 1] if 1 <= j <= len(row) else 0
-
-        if i % 2:  # left to right
-            out: list[int] = []
-            left = 0
-            for j in range(1, width + 1):
-                left = left + at(prev, j)
-                out.append(left)
-            return tuple(out)
-        # right to left
-        rev: list[int] = []
-        right = 0
-        for j in range(width, 0, -1):
-            right = at(prev, j) + right
-            rev.append(right)
-        return tuple(reversed(rev))
+    def __init__(self) -> None:
+        super().__init__(_seidel_rows())
 
     def entry(self, i: int, j: int) -> int:
         """g(i, j); zero outside the support 1 <= j <= ceil(i/2)."""
@@ -100,18 +105,11 @@ class SeidelTriangle(_MemoizedTriangle):
         return row[j - 1]
 
 
-class KrewerasTriangle(_MemoizedTriangle):
+class KrewerasTriangle(_Memo):
     """Memoized Kreweras triangle.  Row n holds entries k = 1 .. n."""
 
-    def _next_row(self) -> tuple[int, ...]:
-        prev = self._rows[-1]
-        n = len(self._rows) + 1
-        out = [sum(prev)]
-        if n >= 2:
-            out.append(2 * out[0] - prev[0])
-        for k in range(3, n + 1):
-            out.append(2 * out[k - 2] - out[k - 3] - prev[k - 2] - prev[k - 3])
-        return tuple(out)
+    def __init__(self) -> None:
+        super().__init__(_kreweras_rows())
 
     def entry(self, n: int, k: int) -> int:
         row = self.row(n)
@@ -122,6 +120,9 @@ class KrewerasTriangle(_MemoizedTriangle):
 
 _SEIDEL = SeidelTriangle()
 _KREWERAS = KrewerasTriangle()
+# item n is (g(2n-1, n), g(2n, 1)): the last entry of odd row 2n-1 and the
+# first of row 2n, read from one stream of rows taken two at a time
+_BORDERS = _Memo((odd[-1], even[0]) for odd, even in zip(*[_seidel_rows()] * 2))
 
 
 def seidel_row(i: int) -> tuple[int, ...]:
@@ -146,14 +147,14 @@ def genocchi(n: int) -> int:
     """Genocchi number G(2n), n >= 1:  1, 1, 3, 17, 155, 2073, ..."""
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    return _SEIDEL.entry(2 * n - 1, n)
+    return _BORDERS.row(n)[0]
 
 
 def median_genocchi(n: int) -> int:
     """Median Genocchi number H(2n+1), n >= 0:  1, 2, 8, 56, 608, ..."""
     if n < 0:
         raise ValueError(f"defined for n >= 0, got {n}")
-    return _SEIDEL.entry(2 * n + 2, 1)
+    return _BORDERS.row(n + 1)[1]
 
 
 def normalized_genocchi(n: int) -> int:

@@ -80,7 +80,7 @@ _HUGE_OUTPUTS = {
                          ids=["triangle", "sequence"])
 def test_entries_beyond_the_digit_limit_print_exactly(capsys, monkeypatch, argv, fmt):
     huge = 10 ** 5000
-    monkeypatch.setattr(triangles, "kreweras_row", lambda n: (huge,))
+    monkeypatch.setattr(triangles, "_kreweras_rows", lambda: iter([(huge,)]))
     monkeypatch.setattr(triangles, "normalized_genocchi", lambda n: huge)
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     limit = get_limit()
@@ -142,20 +142,52 @@ def test_enumerate_json_is_the_dumped_list(capsys, model):
             assert out == json.dumps(listing, sort_keys=True) + "\n", (n, extra)
 
 
+def traced_peak(monkeypatch, sink, *argv):
+    """Exit code and tracemalloc peak of main(argv), with stdout sent to sink."""
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
 def test_enumerate_json_streams_in_bounded_memory(monkeypatch):
     # built as one list, the order-6 listing with statistics peaks at about
     # 2.4 MiB; the writer is the same for every family
     with open(os.devnull, "w") as sink:
-        monkeypatch.setattr("sys.stdout", sink)
-        tracemalloc.start()
-        try:
-            code = main(["enumerate", "--model", "hetyei", "--n", "6", "--stats",
-                         "--format", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(monkeypatch, sink, "enumerate", "--model", "hetyei",
+                                 "--n", "6", "--stats", "--format", "json")
     assert code == 0
     assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # with every row kept, these peak at 21-30 and 4 MiB
+    (("sequence", "normalized", "--count", "300"), 4 * 1024 * 1024),
+    (("triangle", "kreweras", "--rows", "200"), 1.5 * 1024 * 1024),
+], ids=["sequence", "triangle"])
+def test_triangle_and_sequence_stream_in_bounded_memory(monkeypatch, argv, bound):
+    with open(os.devnull, "w") as sink:
+        code, peak = traced_peak(monkeypatch, sink, *argv)
+    assert code == 0
+    assert peak < bound
+
+
+@pytest.mark.slow
+def test_sequence_prints_values_past_the_digit_limit(monkeypatch, tmp_path):
+    # normalized_genocchi crosses CPython's 4,300-digit limit at n = 972
+    path = tmp_path / "out.txt"
+    with open(path, "w") as sink:
+        code, peak = traced_peak(monkeypatch, sink, "sequence", "normalized",
+                                 "--count", "1000")
+    values = path.read_text().split()
+    assert code == 0
+    assert len(values) == 1000
+    assert len(values[-1]) > 4300
+    assert peak < 32 * 1024 * 1024
 
 
 def test_count_total_and_histogram(capsys):
@@ -213,6 +245,21 @@ def test_map_reads_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "map", "--op", "t", "--model", "pd2n")
     assert code == 0
     assert out.strip() == "4 1 6 2 7 5 8 3"
+
+
+def test_map_reads_stdin_without_a_newline(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1 6 3 7 4 8 5"))
+    assert run(capsys, "map", "--op", "t", "--model", "pd2n") == (0, "4 1 6 2 7 5 8 3\n", "")
+
+
+@pytest.mark.parametrize("text", ["\xa02 1 6 3 7 4 8 5\n", "\t2 1 6 3 7 4 8 5\n",
+                                  "2 1 6 3 7 4 8 5 \n", "2 1 6 3 7 4 8 5\n\n"],
+                         ids=["nbsp", "tab", "trailing-space", "two-newlines"])
+def test_map_stdin_drops_only_one_newline(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "map", "--op", "t", "--model", "pd2n")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
 
 
 def test_map_undecodable_stdin_exits_3(capsys, monkeypatch):

@@ -65,6 +65,13 @@ def test_seidel_matches_reference():
         assert tri.seidel_row(i) == tuple(ref_seidel(i, j) for j in range(1, width + 1))
 
 
+def test_sequences_match_the_reference_borders():
+    # the sequences read a border stream of their own, not the row table
+    for n in range(1, 61):
+        assert tri.genocchi(n) == ref_seidel(2 * n - 1, n), n
+        assert tri.median_genocchi(n) == ref_seidel(2 * n + 2, 1), n
+
+
 def test_seidel_entry_outside_support_is_zero():
     assert tri.seidel_entry(5, 4) == 0
     assert tri.seidel_entry(6, 4) == 0
