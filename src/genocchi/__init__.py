@@ -48,6 +48,7 @@ from .models import (
     redundant_positions,
     serialize,
     statistics,
+    statistics_table,
 )
 from .triangles import (
     KrewerasTriangle,
@@ -84,6 +85,7 @@ __all__ = [
     "redundant_positions",
     "serialize",
     "statistics",
+    "statistics_table",
     "chain_to_settuple",
     "settuple_to_chain",
     "closed_form_chain",

@@ -155,12 +155,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    objs = models.enumerate_model(args.model, args.n, args.guard)
+    table = models.statistics_table(args.model, args.n, args.guard)
     if args.by:
-        stat = models.k_statistic if args.by == "k" else models.l_statistic
-        counts = [0] * args.n
-        for obj in objs:
-            counts[stat(obj) - 1] += 1
+        counts = models.marginal(table, "kl".index(args.by), args.n)
         if args.format == "csv":
             _write_csv((args.by, "count"), enumerate(counts, 1))
         elif args.format == "json":
@@ -168,7 +165,7 @@ def _cmd_count(args) -> int:
         else:
             print(" ".join(str(c) for c in counts))
     else:
-        total = sum(1 for _ in objs)
+        total = sum(table.values())
         if args.format == "csv":
             _write_csv(("model", "n", "total"), [(args.model, args.n, total)])
         elif args.format == "json":
@@ -303,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except RecursionError:
         # the enumerators recurse once per component of an object, so a deep
-        # enough order fails at its first object
+        # enough order fails at its first object (count, which tallies
+        # without them, does not recurse)
         print(f"error: the order is too deep for Python's recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2

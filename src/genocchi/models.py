@@ -45,6 +45,15 @@ does not grow with the count.  Orders beyond a resource guard (default
 n <= 8, overridable) are refused at the call, before any object is built.
 Enumerators are pure, so concurrent or repeated runs agree.
 
+statistics_table gives the joint (k, l) table of a family without building
+its objects: each family's tally is a forward dynamic programme over its
+enumerator's choices whose state keeps only what the later choices read,
+plus k and l once fixed (the column loads for dellac, the used values for
+pd2n, the last subset for chain, one occurrence bit a value for settuple,
+and for hetyei, walked from the last position, the covered values and the
+redundancy chain).  At order 8 it takes milliseconds where enumeration
+takes seconds; the same guard applies to it.
+
 Objects are immutable, hashable tuples (tag, n, data): the tag is a small
 int per family, so objects of two families never compare equal, and the
 data is also read by its name (word, row_columns, subsets, sets, pairs).
@@ -81,6 +90,8 @@ __all__ = [
     "parse",
     "serialize",
     "enumerate_model",
+    "statistics_table",
+    "marginal",
     "check_enumeration_guard",
     "k_statistic",
     "l_statistic",
@@ -668,6 +679,24 @@ def _iter_dumont(n: int) -> Iterator[DumontPermutation]:
     yield from extend(0)
 
 
+def _tally_dumont(n: int) -> dict[tuple[int, int], int]:
+    # the enumerator's positions and rule; a state is (k, l, the used values
+    # as a bit mask), k = sigma(1) / 2 and l = (sigma(2n+2) - 1) / 2 read off
+    # as the first and the last position take their value (0 before)
+    m = 2 * n + 2
+    states = {(0, 0, 0): 1}
+    for p in range(1, m + 1):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (k, l, used), count in states.items():
+            for v in range(p + 1, m + 1) if p % 2 else range(1, p):
+                if used >> v & 1 or (v % 2 and v > 1 and not used >> (v - 1) & 1):
+                    continue
+                key = (v // 2 if p == 1 else k, (v - 1) // 2 if p == m else l, used | 1 << v)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return _joint(states)
+
+
 def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
     rows = 2 * n
     cols = [0] * rows
@@ -693,6 +722,26 @@ def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
             load[c] -= 1
 
     yield from extend(1)
+
+
+def _tally_dellac(n: int) -> dict[tuple[int, int], int]:
+    # the enumerator's rows and rule; a state is (k, l, the column loads, two
+    # bits a column), k = c_{n+1} and l = c_n once their rows are placed
+    states = {(0, 0, 0): 1}
+    for i in range(1, 2 * n + 1):
+        closing = i - n
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (k, l, loads), count in states.items():
+            for c in range(max(1, i - n), min(i, n) + 1):
+                if loads >> 2 * c & 3 == 2:
+                    continue
+                new = loads + (1 << 2 * c)
+                if closing >= 1 and new >> 2 * closing & 3 != 2:
+                    continue
+                key = (c if i == n + 1 else k, c if i == n else l, new)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return _joint(states)
 
 
 def _subset_text(part: tuple[int, ...]) -> str:
@@ -723,6 +772,25 @@ def _iter_chains(n: int) -> Iterator[FeiginChain]:
             acc.pop()
 
     yield from extend(1)
+
+
+def _tally_chains(n: int) -> dict[tuple[int, int], int]:
+    # the enumerator's steps; a state is (k, l, I_{i-1} as a bit mask), k and
+    # l the first indices whose sets hold 1 and n (0 before)
+    states = {(0, 0, 0): 1}
+    for i in range(1, n + 1):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (k, l, prev), count in states.items():
+            free = [1 << v for v in range(1, n + 1) if not prev >> v & 1]
+            parts = [prev | x for x in free]
+            if prev >> i & 1:
+                base = prev ^ 1 << i
+                parts.extend(base | x | y for x, y in combinations(free, 2))
+            for part in parts:
+                key = (k or i * (part >> 1 & 1), l or i * (part >> n & 1), part)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return _joint(states)
 
 
 def _iter_settuples(n: int) -> Iterator[SetTuple]:
@@ -775,6 +843,41 @@ def _iter_settuples(n: int) -> Iterator[SetTuple]:
     yield from extend(1)
 
 
+def _tally_settuples(n: int) -> dict[tuple[int, int], int]:
+    # the enumerator's steps and its feasible bound.  may_use and feasible
+    # read one bit a value, kept in a mask: before step j, bit v says for
+    # v < j that v has one occurrence still to come (target[v] - occ[v] = 1,
+    # never more) and for v >= j that v has occurred (occ[v] = 1, never
+    # more).  A state is (k, l, that mask), k and l the steps whose sets
+    # hold 1 and n (0 before).
+    states = {(0, 0, 0): 1}
+    for j in range(1, n + 1):
+        low = (1 << j + 1) - 2  # the bits of the values 1..j
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (k, l, mask), count in states.items():
+            seen = mask >> j & 1
+            # v < j while it has an occurrence to come, v >= j until it has one
+            usable = [1 << v for v in range(1, n + 1) if mask >> v & 1 == (v < j)]
+            choices = list(usable)
+            if seen:  # j is not usable, so no pair holds it
+                choices.extend(x | y for x, y in combinations(usable, 2))
+            for chosen in choices:
+                # a chosen v < j has no occurrence left to come, a chosen
+                # v > j has occurred; j itself has one to come after a pair,
+                # or after a singleton other than {j} when it has not occurred
+                to_come = chosen & chosen - 1 != 0 if seen else chosen != 1 << j
+                new = (mask ^ chosen) & ~(1 << j) | to_come << j
+                # feasible(j): the occurrences to come, plus one for each
+                # v > j not yet seen, fit the 2 (n - j) places left
+                need = (new & low).bit_count() + n - j - (new & ~low).bit_count()
+                if need > 2 * (n - j):
+                    continue
+                key = (k or j * (chosen >> 1 & 1), l or j * (chosen >> n & 1), new)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return _joint(states)
+
+
 def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
     pairs: list[tuple[int, int]] = [(0, 0)] * n
     candidates = [
@@ -802,6 +905,47 @@ def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
     yield from extend(1, 0)
 
 
+def _tally_hetyei(n: int) -> dict[tuple[int, int], int]:
+    # the enumerator's pairs, walked from position n down to 1, where k and
+    # l are the first positions to meet: the largest redundant one sits at
+    # n-k+1 and the last one holding 1 at n-l+1.  A state is (k, l, covered,
+    # chain) before position p: covered has bit x for each value x <= p an
+    # entry of the pairs after p (all values above p must be), and chain is
+    # the largest redundancy-chain value <= p, or 0 once k is fixed (the
+    # chain ends at the latest at its last value, which is redundant).
+    states = {(0, 0, 0, n): 1}
+    for p in range(n, 0, -1):
+        nxt: dict[tuple[int, int, int, int], int] = {}
+        for (k, l, covered, chain), count in states.items():
+            for u in range(1, p + 1):
+                for v in range(u, p + 1):
+                    new = covered | 1 << u | 1 << v
+                    if not new >> p & 1:
+                        continue  # no position below p holds the value p
+                    nk, nc = k, chain
+                    if chain == p:
+                        # a chain value, redundant when its pair is {p, p}
+                        # or, below n, holds p; else u is the next one
+                        if v == p and (u == p or p < n):
+                            nk, nc = n + 1 - p, 0
+                        else:
+                            nc = u
+                    elif chain and chain in (u, v):  # holds the chain value below p
+                        nk, nc = n + 1 - p, 0
+                    key = (nk, l or (n + 1 - p) * (u == 1), new ^ 1 << p, nc)
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return _joint(states)
+
+
+def _joint(states: dict) -> dict[tuple[int, int], int]:
+    """The (k, l) table of a tally's final states, keyed by (k, l, ...)."""
+    table: dict[tuple[int, int], int] = {}
+    for (k, l, *_), count in states.items():
+        table[k, l] = table.get((k, l), 0) + count
+    return dict(sorted(table.items()))
+
+
 _ENUMERATORS = {
     "pd2n": _iter_dumont,
     "dellac": _iter_dellac,
@@ -809,6 +953,23 @@ _ENUMERATORS = {
     "settuple": _iter_settuples,
     "hetyei": _iter_hetyei,
 }
+
+
+_TALLIES = {
+    "pd2n": _tally_dumont,
+    "dellac": _tally_dellac,
+    "chain": _tally_chains,
+    "settuple": _tally_settuples,
+    "hetyei": _tally_hetyei,
+}
+
+
+def _check_call(model: str, n: int, limit: int | None) -> None:
+    if model not in _ENUMERATORS:
+        raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    check_enumeration_guard(n, limit)
 
 
 def enumerate_model(model: str, n: int,
@@ -821,12 +982,35 @@ def enumerate_model(model: str, n: int,
     object is built: orders beyond `limit` raise ResourceGuardError (pass a
     larger limit, or None, to override).
     """
-    if model not in _ENUMERATORS:
-        raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    check_enumeration_guard(n, limit)
+    _check_call(model, n, limit)
     return _ENUMERATORS[model](n)
+
+
+def statistics_table(model: str, n: int,
+                     limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> dict[tuple[int, int], int]:
+    """The joint table {(k, l): number of order-n objects} of the named family.
+
+    Tallied by a forward dynamic programme over the enumerator's choices,
+    which keeps only what constrains the later choices, plus k and l once
+    fixed, so no object is built.  Equal to the Counter of statistics over
+    enumerate_model(model, n), keys ascending.  The model, the order and
+    the guard are checked at the call as enumerate_model checks them.
+
+    >>> statistics_table("dellac", 3)
+    {(1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 2): 1, (2, 3): 1, (3, 1): 1, (3, 2): 1}
+    """
+    _check_call(model, n, limit)
+    return _TALLIES[model](n)
+
+
+def marginal(table: dict[tuple[int, int], int], index: int, n: int) -> list[int]:
+    """Counts of the values 1..n of coordinate `index` (0 for k, 1 for l) in
+    a (k, l) table; a value outside that range is counted nowhere."""
+    out = [0] * n
+    for kl, count in table.items():
+        if 1 <= kl[index] <= n:
+            out[kl[index] - 1] += count
+    return out
 
 
 # The object count is named only up to this order: normalized_genocchi(n)

@@ -28,9 +28,10 @@ Rows are symmetric, sum to normalized_genocchi(n), and end with
 normalized_genocchi(n-1) on both sides.
 
 All arithmetic uses native Python integers, so every entry is exact at any
-index.  Each triangle is a generator computing every row from the previous
-one alone.  Row tables memoize the rows asked of them, the sequences only
-the Seidel border pairs; a lock guards every step of a memo's generator.
+index.  Each triangle computes every row from the previous one alone.  Row
+tables memoize the rows asked of them, the sequences only the two ends of
+the even Seidel rows; a lock guards every memo, and an interrupted row
+leaves its memo able to compute it again.
 """
 
 from __future__ import annotations
@@ -52,50 +53,70 @@ __all__ = [
 ]
 
 
-def _seidel_rows() -> Iterator[tuple[int, ...]]:
-    """Rows 1, 2, ... of the Seidel triangle; row i has ceil(i/2) entries."""
-    row = (1,)
+def _seidel_step(row: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Row i + 1 of the Seidel triangle from row i."""
+    if i % 2:
+        return tuple(accumulate(reversed(row)))[::-1]  # even: right to left
+    return tuple(accumulate(row + (0,)))  # odd: left to right, one wider
+
+
+def _kreweras_step(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row n + 1 of the Kreweras triangle from row n."""
+    first = sum(row)
+    out = [first, 2 * first - row[0]]
+    for k in range(3, n + 2):
+        out.append(2 * out[k - 2] - out[k - 3] - row[k - 2] - row[k - 3])
+    return tuple(out)
+
+
+def _rows(step) -> Iterator[tuple[int, ...]]:
+    row, i = (1,), 1
     while True:
         yield row
-        row = tuple(accumulate(reversed(row)))[::-1]  # even: right to left
-        yield row
-        row = tuple(accumulate(row + (0,)))  # odd: left to right, one wider
+        row = step(row, i)
+        i += 1
+
+
+def _seidel_rows() -> Iterator[tuple[int, ...]]:
+    """Rows 1, 2, ... of the Seidel triangle; row i has ceil(i/2) entries."""
+    return _rows(_seidel_step)
 
 
 def _kreweras_rows() -> Iterator[tuple[int, ...]]:
     """Rows 1, 2, ... of the Kreweras triangle; row n has n entries."""
-    row = (1,)
-    while True:
-        yield row
-        first = sum(row)
-        out = [first, 2 * first - row[0]]
-        for k in range(3, len(row) + 2):
-            out.append(2 * out[k - 2] - out[k - 3] - row[k - 2] - row[k - 3])
-        row = tuple(out)
+    return _rows(_kreweras_step)
 
 
 class _Memo:
-    """Items 1, 2, ... of a generator, kept once read; a lock guards each next()."""
+    """Rows 1, 2, ... kept once computed, row 1 being (1,), each row i + 1
+    computed as step(row i, i) and stored in one append, so a step that is
+    interrupted leaves the memo as it was and a retry resumes.  When given,
+    shrink replaces each row once the next one is stored.  A lock guards
+    the memo."""
 
-    def __init__(self, source: Iterator[tuple[int, ...]]) -> None:
-        self._rows: list[tuple[int, ...]] = []
-        self._source = source
+    def __init__(self, step, shrink=None) -> None:
+        self._rows: list[tuple[int, ...]] = [(1,)]
+        self._step = step
+        self._shrink = shrink
         self._lock = threading.Lock()
 
     def row(self, i: int) -> tuple[int, ...]:
         if i < 1:
             raise ValueError(f"row index must be >= 1, got {i}")
+        rows = self._rows
         with self._lock:
-            while len(self._rows) < i:
-                self._rows.append(next(self._source))
-        return self._rows[i - 1]
+            while len(rows) < i:
+                rows.append(self._step(rows[-1], len(rows)))
+                if self._shrink:
+                    rows[-2] = self._shrink(rows[-2])
+        return rows[i - 1]
 
 
 class SeidelTriangle(_Memo):
     """Memoized Seidel triangle.  Row i holds entries j = 1 .. ceil(i/2)."""
 
     def __init__(self) -> None:
-        super().__init__(_seidel_rows())
+        super().__init__(_seidel_step)
 
     def entry(self, i: int, j: int) -> int:
         """g(i, j); zero outside the support 1 <= j <= ceil(i/2)."""
@@ -109,7 +130,7 @@ class KrewerasTriangle(_Memo):
     """Memoized Kreweras triangle.  Row n holds entries k = 1 .. n."""
 
     def __init__(self) -> None:
-        super().__init__(_kreweras_rows())
+        super().__init__(_kreweras_step)
 
     def entry(self, n: int, k: int) -> int:
         row = self.row(n)
@@ -120,9 +141,10 @@ class KrewerasTriangle(_Memo):
 
 _SEIDEL = SeidelTriangle()
 _KREWERAS = KrewerasTriangle()
-# item n is (g(2n-1, n), g(2n, 1)): the last entry of odd row 2n-1 and the
-# first of row 2n, read from one stream of rows taken two at a time
-_BORDERS = _Memo((odd[-1], even[0]) for odd, even in zip(*[_seidel_rows()] * 2))
+# row n is Seidel row 2n, whose ends are g(2n, 1) and g(2n, n) = g(2n-1, n),
+# kept as those two ends alone once row n + 1 is stored
+_BORDERS = _Memo(lambda row, n: _seidel_step(_seidel_step(row, 2 * n), 2 * n + 1),
+                 lambda row: (row[0], row[-1]))
 
 
 def seidel_row(i: int) -> tuple[int, ...]:
@@ -147,14 +169,14 @@ def genocchi(n: int) -> int:
     """Genocchi number G(2n), n >= 1:  1, 1, 3, 17, 155, 2073, ..."""
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    return _BORDERS.row(n)[0]
+    return _BORDERS.row(n)[-1]
 
 
 def median_genocchi(n: int) -> int:
     """Median Genocchi number H(2n+1), n >= 0:  1, 2, 8, 56, 608, ..."""
     if n < 0:
         raise ValueError(f"defined for n >= 0, got {n}")
-    return _BORDERS.row(n + 1)[1]
+    return _BORDERS.row(n + 1)[0]
 
 
 def normalized_genocchi(n: int) -> int:

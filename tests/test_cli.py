@@ -335,6 +335,17 @@ def test_guard_refusal_and_override(capsys):
     assert code == 0 and out.strip() == "295"
 
 
+@pytest.mark.parametrize("model", models.MODEL_NAMES)
+def test_count_guard_refuses_before_any_tally(capsys, monkeypatch, model):
+    calls = []
+    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in models.MODEL_NAMES})
+    for by in ((), ("--by", "k")):
+        code, out, err = run(capsys, "count", "--model", model, "--n", "9", *by)
+        assert (code, out) == (2, "")
+        assert "guard 8" in err
+    assert calls == []
+
+
 def test_verify_guard_refuses_with_no_output(capsys):
     code, out, err = run(capsys, "verify", "--max-n", "7", "--guard", "6")
     assert (code, out) == (2, "")

@@ -12,6 +12,7 @@ import copy
 import pickle
 import re
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, permutations, product
 
 import pytest
@@ -575,6 +576,48 @@ def test_rules_agree_below_the_top_position(objects):
         assert mine - {m.n} == lit - {m.n}
         top_pair = m.pairs[m.n - 1]
         assert (m.n in mine) == (top_pair == (m.n, m.n))
+
+
+# ---------------------------------------------------------------------------
+# statistics tables, against enumeration
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_statistics_table_counts_the_enumerated_objects(model, n, objects):
+    expected = Counter(models.statistics(o) for o in objects(model, n))
+    assert models.statistics_table(model, n) == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [8, 9])
+def test_statistics_tables_beyond_enumeration(n):
+    tables = [models.statistics_table(m, n, limit=None) for m in MODEL_NAMES]
+    assert all(table == tables[0] for table in tables)
+    table = tables[0]
+    for (k, l), count in table.items():
+        assert table.get((l, k)) == count  # t exchanges k and l
+        assert table.get((n + 1 - l, n + 1 - k)) == count  # r
+    row = triangles.kreweras_row(n)
+    for index in (0, 1):
+        hist = [0] * n
+        for kl, count in table.items():
+            hist[kl[index] - 1] += count
+        assert tuple(hist) == row
+
+
+def test_statistics_table_checks_its_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in MODEL_NAMES})
+    with pytest.raises(ResourceGuardError, match=r"guard 8 \(each family has 15,366,679"):
+        models.statistics_table("dellac", 9)
+    with pytest.raises(ResourceGuardError, match=r"guard 4 "):
+        models.statistics_table("chain", 5, limit=4)
+    with pytest.raises(ValueError, match="unknown model"):
+        models.statistics_table("nope", 3)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        models.statistics_table("pd2n", 0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ restate the recurrences directly with functools.cache and no row storage.
 
 from __future__ import annotations
 
+import signal
 import threading
 from functools import cache
 
@@ -179,6 +180,31 @@ def test_concurrent_row_requests_agree():
     for t in threads:
         t.join()
     assert all(r == tri.kreweras_row(45) for r in results)
+
+
+class _Alarm(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("table,far", [(tri.KrewerasTriangle, 3000), (tri.SeidelTriangle, 6000)])
+def test_an_interrupted_row_leaves_the_table_able_to_resume(table, far):
+    def ring(signum, frame):
+        raise _Alarm
+
+    fresh = table()
+    old = signal.signal(signal.SIGALRM, ring)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(_Alarm):
+            fresh.row(far)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    stored = len(fresh._rows)
+    assert 1 < stored < far
+    # a row past the one the interrupt cut short, equal to an uninterrupted table's
+    assert fresh.row(stored + 2) == table().row(stored + 2)
 
 
 @given(st.integers(min_value=1, max_value=80))

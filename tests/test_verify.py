@@ -267,6 +267,16 @@ def test_suite_reports_an_invalid_enumerated_object(monkeypatch, capsys, model, 
     assert main(["verify", "--max-n", "3"]) == 1
 
 
+def test_count_matrix_refuses_before_any_tally(monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in models.MODEL_NAMES})
+    with pytest.raises(models.ResourceGuardError, match="guard 8"):
+        count_matrix(9)
+    with pytest.raises(models.ResourceGuardError, match="guard 3"):
+        count_matrix(4, limit=3)
+    assert calls == []
+
+
 def test_pair_count_bound_is_honored():
     report = run_suite(2, 2)
     names = [c.name for c in report.checks]
