@@ -38,14 +38,22 @@ phi_inverse replays the pairs from slot n down to slot 1.  A slot whose
 pair {u, v} has u = v, or whose position n-k+1 never occurs among the
 already-replayed pairs, is a growth step (the pair is then {p, p} or
 {p, n-k+1}, which pins p); every other slot is a swap step with
-{p, q} = {u, v}.  The pool invariant (pool contents = complement of the
-current subset) is asserted at every step and any violation aborts with
-the step number and pool, since it can only mean an implementation bug.
+{p, q} = {u, v}.  The pool invariant (the pool lists the complement of
+the current subset, each value once) is asserted at every step of both
+directions: the OR of the pool entries' bits must equal the complement of
+the subset's bit mask, and the pool must have n-k entries, so no entry
+repeats.  Any violation aborts with the step number, pool and subset,
+since it can only mean an implementation bug.
+
+Both directions of phi keep the subset I_k as a bit mask (bit v set for
+each member v).  settuple_to_chain grows I_i as an ascending list;
+closed_form_chain reads each value's first and last positions once and
+shares no code with it, so that each checks the other.
 """
 
 from __future__ import annotations
 
-from itertools import chain as _chain
+from bisect import insort
 from typing import Sequence
 
 from .models import (
@@ -78,41 +86,48 @@ __all__ = [
 
 def chain_to_settuple(chain: FeiginChain) -> SetTuple:
     """S_i = I_i minus I_{i-1}."""
-    sets = chain.sets()
-    parts = tuple(
-        tuple(sorted(sets[i] - sets[i - 1])) for i in range(1, chain.n + 1)
-    )
+    subsets = chain.subsets
+    parts = tuple([
+        tuple([v for v in cur if v not in prev])
+        for prev, cur in zip(subsets, subsets[1:])
+    ])
     return _trusted(SetTuple, chain.n, parts)
 
 
 def settuple_to_chain(s: SetTuple) -> FeiginChain:
     """Rebuild the chain: grow by S_i, dropping i first whenever #S_i = 2."""
-    cur: set[int] = set()
+    cur: list[int] = []  # I_i, ascending
     acc: list[tuple[int, ...]] = [()]
     for i, part in enumerate(s.sets, 1):
         if len(part) == 2:
-            cur.discard(i)
-        cur.update(part)
-        acc.append(tuple(sorted(cur)))
+            cur.remove(i)  # i entered with its first occurrence, before S_i
+        for v in part:
+            insort(cur, v)
+        acc.append(tuple(cur))
     return _trusted(FeiginChain, s.n, tuple(acc))
 
 
 def closed_form_chain(s: SetTuple) -> FeiginChain:
     """Direct expression for the same chain, used as a cross-check:
 
-    I_i = union of S_1..S_i, minus the values j <= i whose two occurrence
-    positions straddle i.
+    I_i = the values first seen in S_1..S_i, minus the values v <= i whose
+    two occurrence positions straddle i.
     """
     n = s.n
-    positions = {v: [j for j, part in enumerate(s.sets, 1) if v in part] for v in range(1, n + 1)}
+    first = [0] * (n + 1)
+    last = [0] * (n + 1)
+    for j, part in enumerate(s.sets, 1):
+        for v in part:
+            if not first[v]:
+                first[v] = j
+            last[v] = j
+    values = range(1, n + 1)
     acc: list[tuple[int, ...]] = [()]
-    for i in range(1, n + 1):
-        members = set(_chain.from_iterable(s.sets[:i]))
-        for j in range(1, i + 1):
-            pos = positions[j]
-            if len(pos) == 2 and pos[0] < i < pos[1]:
-                members.discard(j)
-        acc.append(tuple(sorted(members)))
+    for i in values:
+        acc.append(tuple([
+            v for v in values
+            if first[v] <= i and not (v <= i and first[v] < i < last[v])
+        ]))
     return _trusted(FeiginChain, n, tuple(acc))
 
 
@@ -138,35 +153,48 @@ def _swap_pool(pool: tuple[int, ...], p: int, q: int, k: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def _check_pool(pool: tuple[int, ...], members: frozenset[int], n: int, k: int) -> None:
-    if set(pool) != set(range(1, n + 1)) - members or len(pool) != n - k:
+def _check_pool(pool: tuple[int, ...], members: int, n: int, k: int) -> None:
+    """The pool lists [n] minus members (a bit mask) once each: its mask is
+    the complement and it has one entry per value, so no entry repeats."""
+    mask = 0
+    for v in pool:
+        mask |= 1 << v
+    if mask != (1 << n + 1) - 2 & ~members or len(pool) != n - k:
         raise RuntimeError(
-            f"pool invariant broken at step {k}: pool={pool}, subset={sorted(members)}"
+            f"pool invariant broken at step {k}: pool={pool}, "
+            f"subset={[v for v in range(1, n + 1) if members >> v & 1]}"
         )
 
 
 def phi_trace(chain: FeiginChain) -> tuple[HetyeiTuple, tuple[tuple[int, ...], ...]]:
     """phi plus its intermediate pools (L_0, L_1, .., L_n)."""
     n = chain.n
-    sets = chain.sets()
     pool = tuple(range(n, 0, -1))
     pools = [pool]
     pairs: list[tuple[int, int]] = [(0, 0)] * n
-    for k in range(1, n + 1):
-        prev, cur = sets[k - 1], sets[k]
+    prev = 0  # I_{k-1}, bit v set for each member v
+    for k, part in enumerate(chain.subsets[1:], 1):
+        cur = 0
+        for v in part:
+            cur |= 1 << v
         slot = n - k + 1
-        if prev <= cur:
-            (added,) = cur - prev
-            p = pool.index(added) + 1
-            pairs[slot - 1] = (p, p) if k in prev else tuple(sorted((p, slot)))
+        added = cur & ~prev
+        if not prev & ~cur:
+            # p <= slot, the pool's length before this step
+            p = pool.index(added.bit_length() - 1) + 1
+            pairs[slot - 1] = (p, p) if prev >> k & 1 else (p, slot)
             pool = _grow_pool(pool, p)
         else:
-            x, y = cur - (prev - {k})
-            p, q = sorted((pool.index(x) + 1, pool.index(y) + 1))
+            # I_k = (I_{k-1} - {k}) + {x, y}, x the low and y the high new bit
+            x, y = (added & -added).bit_length() - 1, added.bit_length() - 1
+            p, q = pool.index(x) + 1, pool.index(y) + 1
+            if p > q:
+                p, q = q, p
             pairs[slot - 1] = (p, q)
             pool = _swap_pool(pool, p, q, k)
         _check_pool(pool, cur, n, k)
         pools.append(pool)
+        prev = cur
     return _trusted(HetyeiTuple, n, tuple(pairs)), tuple(pools)
 
 
@@ -179,36 +207,39 @@ def phi_inverse(m: HetyeiTuple) -> FeiginChain:
     """Inverse of phi, replaying pair slots from n down to 1."""
     n = m.n
     pool = tuple(range(n, 0, -1))
-    cur: set[int] = set()
+    cur = 0  # I_k, bit v set for each member v
+    members: list[int] = []  # I_k, ascending
     acc: list[tuple[int, ...]] = [()]
-    replayed: set[int] = set()
+    replayed = 0  # bit j set once j is an entry of a replayed pair
     for k in range(1, n + 1):
         slot = n - k + 1
         u, v = m.pairs[slot - 1]
-        if u == v or slot not in replayed:
+        if u == v or not replayed >> slot & 1:
             # growth step: the pair must be {p, p} or {p, slot}
             if u != v and v != slot:
                 raise RuntimeError(
                     f"pair ({u},{v}) at slot {slot} fits no growth form; tuple is corrupt"
                 )
-            p = u
-            added = pool[p - 1]
-            if added in cur:
+            added = pool[u - 1]
+            if cur >> added & 1:
                 raise RuntimeError(f"replay error at step {k}: {added} already present")
-            cur.add(added)
-            pool = _grow_pool(pool, p)
+            cur |= 1 << added
+            insort(members, added)
+            pool = _grow_pool(pool, u)
         else:
-            if k not in cur:
+            if not cur >> k & 1:
                 raise RuntimeError(
                     f"swap step at slot {slot} but {k} is absent from the subset"
                 )
             x, y = pool[u - 1], pool[v - 1]
-            cur.discard(k)
-            cur.update((x, y))
+            cur = cur & ~(1 << k) | 1 << x | 1 << y
+            members.remove(k)
+            insort(members, x)
+            insort(members, y)
             pool = _swap_pool(pool, u, v, k)
-        _check_pool(pool, frozenset(cur), n, k)
-        replayed.update((u, v))
-        acc.append(tuple(sorted(cur)))
+        _check_pool(pool, cur, n, k)
+        replayed |= 1 << u | 1 << v
+        acc.append(tuple(members))
     return _trusted(FeiginChain, n, tuple(acc))
 
 

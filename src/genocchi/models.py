@@ -65,11 +65,18 @@ enumerators and the maps, whose outputs are valid by construction, build
 their objects through one trusted constructor that skips the check.  The
 verifier checks each map image by its membership in the target family's
 enumerated cell, whose every object it has validated through parse.
+
+parse converts each ";"-separated part of a chain or settuple text through
+a memo of bounded size (_PART_MEMO_SIZE part texts, least recently used
+dropped first), since the parts repeat: at order n each one is among the
+2^n subsets of [n].  The memo keeps only the parts it accepts; a refused
+part is read again, piecewise, to name the fault.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import combinations
 from operator import gt, itemgetter, lt
 from typing import Iterator
@@ -177,16 +184,21 @@ class DumontPermutation(ModelObject):
             raise ModelInvariantError(f"word length must be {m} for order {n}, got {len(word)}")
         if sorted(word) != list(range(1, m + 1)):
             raise ModelInvariantError(f"word is not a permutation of 1..{m}")
-        for i in range(1, n + 2):
-            if word[2 * i - 2] <= 2 * i - 1:
-                raise ModelInvariantError(
-                    f"excedance condition fails: sigma({2 * i - 1}) = {word[2 * i - 2]} is not > {2 * i - 1}"
-                )
-            if word[2 * i - 1] >= 2 * i:
-                raise ModelInvariantError(
-                    f"deficiency condition fails: sigma({2 * i}) = {word[2 * i - 1]} is not < {2 * i}"
-                )
-        pos = {v: p for p, v in enumerate(word)}
+        # sigma(p) > p at the odd positions p, sigma(p) < p at the even ones
+        if not (all(map(gt, word[0::2], range(1, m, 2)))
+                and all(map(lt, word[1::2], range(2, m + 1, 2)))):
+            for p, v in enumerate(word, 1):
+                if p % 2 and v <= p:
+                    raise ModelInvariantError(
+                        f"excedance condition fails: sigma({p}) = {v} is not > {p}"
+                    )
+                if not p % 2 and v >= p:
+                    raise ModelInvariantError(
+                        f"deficiency condition fails: sigma({p}) = {v} is not < {p}"
+                    )
+        pos = [0] * (m + 1)  # pos[v]: the position of value v
+        for p, v in enumerate(word):
+            pos[v] = p
         for i in range(1, n + 1):
             if pos[2 * i] > pos[2 * i + 1]:
                 raise ModelInvariantError(
@@ -313,35 +325,38 @@ class FeiginChain(ModelObject):
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(subsets) != n + 1:
             raise ModelInvariantError(f"need {n + 1} subsets for order {n}, got {len(subsets)}")
-        prev: frozenset[int] = frozenset()
+        prev = 0  # I_{i-1}, bit v set for each member v
         for i, part in enumerate(subsets):
-            cur = frozenset(part)
-            ordered = sorted(cur)
-            if list(part) != ordered:
-                raise ModelInvariantError(f"subset {i} is not strictly ascending")
-            # ascending, so its two ends bound every value
-            if ordered and not (1 <= ordered[0] and ordered[-1] <= n):
-                raise ModelInvariantError(f"subset {i} has values outside 1..{n}")
-            if len(cur) != i:
-                raise ModelInvariantError(f"subset {i} has size {len(cur)}, expected {i}")
-            # (prev - {i}) <= cur, without building prev - {i}
-            if not (prev <= cur or prev - cur == {i}):
+            cur = last = 0
+            for v in part:
+                if not last < v <= n:  # the part is not 1 <= v_1 < v_2 < .. <= n
+                    if not all(map(lt, part, part[1:])):
+                        raise ModelInvariantError(f"subset {i} is not strictly ascending")
+                    raise ModelInvariantError(f"subset {i} has values outside 1..{n}")
+                cur |= 1 << v
+                last = v
+            if len(part) != i:
+                raise ModelInvariantError(f"subset {i} has size {len(part)}, expected {i}")
+            # prev - {i} <= cur: nothing but i leaves
+            if prev & ~cur not in (0, 1 << i):
                 raise ModelInvariantError(
                     f"chain condition fails at step {i}: only {i} may leave the previous subset"
                 )
             prev = cur
 
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(part) for part in self.subsets)
-
     def serialize(self) -> str:
         return ";".join(",".join(str(v) for v in part) for part in self.subsets)
 
     def _k(self) -> int:
-        return next(i for i, part in enumerate(self.subsets) if 1 in part)
+        for i, part in enumerate(self.subsets):
+            if 1 in part:
+                return i
 
     def _l(self) -> int:
-        return next(i for i, part in enumerate(self.subsets) if self.n in part)
+        n = self.n
+        for i, part in enumerate(self.subsets):
+            if n in part:
+                return i
 
     @classmethod
     def from_text(cls, text: str) -> "FeiginChain":
@@ -401,24 +416,38 @@ class SetTuple(ModelObject):
         return ";".join(",".join(str(v) for v in part) for part in self.sets)
 
     def _k(self) -> int:
-        return next(j for j, part in enumerate(self.sets, 1) if 1 in part)
+        for j, part in enumerate(self.sets, 1):
+            if 1 in part:
+                return j
 
     def _l(self) -> int:
-        return next(j for j, part in enumerate(self.sets, 1) if self.n in part)
+        n = self.n
+        for j, part in enumerate(self.sets, 1):
+            if n in part:
+                return j
 
     def _t(self) -> SetTuple:
-        swap = {1: self.n, self.n: 1}
-        parts = tuple(
-            tuple(sorted(swap.get(v, v) for v in part)) for part in self.sets
-        )
-        return _trusted(SetTuple, self.n, parts)
+        # exchange the values 1 and n; a part holds one value or two ascending
+        n = self.n
+        swap = list(range(n + 1))
+        swap[1], swap[n] = n, 1
+        parts = []
+        for part in self.sets:
+            if len(part) == 1:
+                parts.append((swap[part[0]],))
+            else:
+                u, v = swap[part[0]], swap[part[1]]
+                parts.append((u, v) if u < v else (v, u))
+        return _trusted(SetTuple, n, tuple(parts))
 
     def _r(self) -> SetTuple:
-        n = self.n
-        parts = tuple(
-            tuple(sorted(n + 1 - v for v in part)) for part in reversed(self.sets)
-        )
-        return _trusted(SetTuple, n, parts)
+        # v -> n+1-v reverses the order of a part's values
+        m = self.n + 1
+        parts = tuple([
+            (m - part[0],) if len(part) == 1 else (m - part[1], m - part[0])
+            for part in reversed(self.sets)
+        ])
+        return _trusted(SetTuple, self.n, parts)
 
     def _reduce(self) -> SetTuple:
         # l = n forces S_n = {n}
@@ -490,14 +519,15 @@ class HetyeiTuple(ModelObject):
         return cls(len(pairs), tuple(pairs))
 
 
-# The canonical grammar of whole texts.  Each from_text first matches its
-# text against one of these and converts all numbers at once; on any text
-# the fast path does not take, the piecewise rules below (_int, _subset)
-# run and raise the error that names the first offending piece.
+# The canonical grammar.  Each from_text first matches its text against one
+# of these (a chain or settuple text each ";"-separated part against _PART)
+# and converts all numbers at once; on any text the fast path does not
+# take, the piecewise rules below (_int, _subset) run and raise the error
+# that names the first offending piece.
 _NUMBER = "[1-9][0-9]*"  # [0-9], not \d, which also matches non-ASCII digits
 _SUBSET = f"(?:{_NUMBER}(?:,{_NUMBER})*)?"
 _WORD = re.compile(f"{_NUMBER}(?: {_NUMBER})*")
-_SUBSETS = re.compile(f"{_SUBSET}(?:;{_SUBSET})*")
+_PART = re.compile(_SUBSET)
 _PAIRS = re.compile(f"{_NUMBER},{_NUMBER}(?:;{_NUMBER},{_NUMBER})*")
 
 
@@ -514,15 +544,28 @@ def _word(text: str) -> list[int]:
 
 def _subsets(parts: list[str], text: str) -> tuple[tuple[int, ...], ...]:
     """The subsets written in parts, the ";"-separated pieces of text."""
-    if _SUBSETS.fullmatch(text):
-        try:
-            subsets = tuple([tuple(map(int, p.split(","))) if p else () for p in parts])
-        except ValueError:
-            pass  # a number too long for int(); _int names it below
-        else:
-            if all(all(map(lt, s, s[1:])) for s in subsets):  # each strictly ascending
-                return subsets
-    return tuple(_subset(p, text) for p in parts)
+    try:
+        return tuple(map(_ascending, parts))
+    except ValueError:
+        return tuple(_subset(p, text) for p in parts)
+
+
+# the number of part texts _ascending remembers: every subset of [n] up to
+# order 12
+_PART_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_PART_MEMO_SIZE)
+def _ascending(part: str) -> tuple[int, ...]:
+    """The values of one subset text of the canonical grammar, which lists
+    them strictly ascending.  Any other text raises ValueError, which the
+    memo does not keep, and _subsets then lets _subset name the fault."""
+    if not _PART.fullmatch(part):
+        raise ValueError(part)
+    values = tuple(map(int, part.split(","))) if part else ()  # int() may refuse a long number
+    if not all(map(lt, values, values[1:])):
+        raise ValueError(part)
+    return values
 
 
 def _int(piece: str, text: str) -> int:

@@ -481,12 +481,13 @@ def _reduction_checks(report: ConsistencyReport, cells: dict[str, _Cell],
 def _embedding_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
     images = {maps.embed_permutation(word) for word in permutations(range(1, n + 1))}
-    singletons = {
-        s for s in cells["settuple"].objs if all(len(part) == 1 for part in s.sets)
-    }
-    ok = len(images) == factorial(n) and images == singletons
-    _check(report.checks, "permutation-embedding", "settuple", n, ok,
-           f"expected {factorial(n)} singleton tuples, got {len(singletons)}")
+    singletons = [s for s in cells["settuple"].objs if all(len(part) == 1 for part in s.sets)]
+    if len(singletons) != factorial(n):
+        witness = f"expected {factorial(n)} singleton tuples, got {len(singletons)}"
+    else:
+        # n! images cover n! singletons exactly when none is missed
+        witness = next((models.serialize(s) for s in singletons if s not in images), None)
+    _check(report.checks, "permutation-embedding", "settuple", n, witness is None, witness)
 
 
 def _order3_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:

@@ -70,6 +70,48 @@ def test_phi_small_examples():
     assert models.serialize(maps.phi_inverse(obj("hetyei", "1,1;1,1;2,3"))) == ";2;2,3;1,2,3"
 
 
+# I_1 = {2} grows, I_2 = {1, 3} swaps 2 out: both pool updates run at an
+# order-5 pool of three entries or more
+SWAP_CHAIN = ";2;1,3;1,2,3;1,2,3,4;1,2,3,4,5"
+# each fault keeps the pool's length or its set of values, so the check
+# must test both: one entry duplicated, one value swapped for a member of
+# the subset (one of 1..5 the pool lacks), one entry listed twice
+POOL_FAULTS = {
+    "duplicated": lambda out: (out[0], *out[1:-1], out[0]),
+    "member": lambda out: (min(set(range(1, 6)) - set(out)), *out[1:]),
+    "repeated": lambda out: (*out, out[0]),
+}
+
+
+@pytest.mark.parametrize("helper", ["_grow_pool", "_swap_pool"])
+@pytest.mark.parametrize("fault", POOL_FAULTS)
+@pytest.mark.parametrize("direction", ["phi", "phi_inverse"])
+def test_pool_check_fires_at_the_faulty_step(monkeypatch, helper, fault, direction):
+    chain = obj("chain", SWAP_CHAIN)
+    start = chain if direction == "phi" else maps.phi(chain)
+    faulted = []  # one entry per step: whether its new pool was broken
+
+    def counted(name):
+        real = getattr(maps, name)
+
+        def update(pool, *args):
+            out = real(pool, *args)
+            faulted.append(name == helper and len(out) >= 3)
+            return POOL_FAULTS[fault](out) if faulted[-1] else out
+
+        return update
+
+    for name in ("_grow_pool", "_swap_pool"):
+        monkeypatch.setattr(maps, name, counted(name))
+    with pytest.raises(RuntimeError,
+                       match=r"^pool invariant broken at step \d+: pool=\(.*\), subset=\[.*\]$"
+                       ) as caught:
+        getattr(maps, direction)(start)
+    # the check runs at every step, so the first broken pool stops the map
+    assert faulted.index(True) == len(faulted) - 1
+    assert str(caught.value).startswith(f"pool invariant broken at step {len(faulted)}:")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_phi_roundtrip_exhaustive(n, objects):
     image = set()

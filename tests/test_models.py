@@ -238,6 +238,17 @@ INVARIANT_MESSAGES = [
     (HetyeiTuple, 2, ((1, 1), (2, 1)), "pair 2 is not sorted: 2 > 1"),
     (HetyeiTuple, 2, ((1, 2), (1, 2)), "pair 1 = (1,2) has entries outside 1..1"),
     (HetyeiTuple, 2, ((1, 1), (1, 1)), "entries do not cover 1..2: missing [2]"),
+    # two invariants fail at once: the first in the order of the checks is named
+    (DumontPermutation, 1, (1, 1, 4, 3), "word is not a permutation of 1..4"),
+    (DumontPermutation, 1, (1, 4, 3, 2), "excedance condition fails: sigma(1) = 1 is not > 1"),
+    (DumontPermutation, 1, (2, 3, 1, 4), "deficiency condition fails: sigma(2) = 3 is not < 2"),
+    (DumontPermutation, 1, (2, 1, 3, 4), "excedance condition fails: sigma(3) = 3 is not > 3"),
+    (DumontPermutation, 1, (3, 2, 4, 1), "deficiency condition fails: sigma(2) = 2 is not < 2"),
+    (FeiginChain, 2, ((), (1,), (3, 1)), "subset 2 is not strictly ascending"),
+    (FeiginChain, 2, ((), (1,), (2, 2)), "subset 2 is not strictly ascending"),
+    (FeiginChain, 2, ((), (1,), (3,)), "subset 2 has values outside 1..2"),
+    (FeiginChain, 2, ((), (0, 1), (1, 2)), "subset 1 has values outside 1..2"),
+    (FeiginChain, 2, ((), (1,), (2,)), "subset 2 has size 1, expected 2"),
 ]
 
 
@@ -355,6 +366,28 @@ _HUGE = "9" * 5000
 def test_syntax_errors(model, text):
     with pytest.raises(ModelSyntaxError):
         models.parse(model, text)
+
+
+def test_subset_memo_keeps_no_errors():
+    # the parts of every order-4 chain text pass through the memo in between
+    with pytest.raises(ModelSyntaxError) as before:
+        models.parse("chain", ";2;2,1")
+    for chain in models.enumerate_model("chain", 4):
+        models.parse("chain", models.serialize(chain))
+    with pytest.raises(ModelSyntaxError) as after:
+        models.parse("chain", ";2;2,1")
+    assert str(after.value) == str(before.value)
+    # a refused part names the text it was read from, each time
+    for text in (";1;01,2", "01;1"):
+        with pytest.raises(ModelSyntaxError, match=re.escape(repr(text))):
+            models.parse("chain" if text[0] == ";" else "settuple", text)
+
+
+def test_subset_memo_is_bounded():
+    for i in range(1, models._PART_MEMO_SIZE + 10):
+        assert models._subsets([str(i)], str(i)) == ((i,),)
+    info = models._ascending.cache_info()
+    assert info.maxsize == info.currsize == models._PART_MEMO_SIZE
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,9 @@ SABOTAGED_MAPS = [
      "chain-settuple-roundtrip", "settuple", ";1;1,2;1,2,3"),
     ("settuple_to_chain", "settuple", "1;2;3", ";2;1,2;1,2,3",
      "settuple-chain-roundtrip", "settuple", "1;2;3"),
+    # closed_form_chain is the independent side: the wrong image fails it too
+    ("settuple_to_chain", "settuple", "1;2;3", ";2;1,2;1,2,3",
+     "chain-closed-form", "settuple", "1;2;3"),
     ("phi", "chain", ";1;1,2;1,2,3", "1,1;1,2;3,3",
      "phi-roundtrip", "hetyei", ";1;1,2;1,2,3"),
     ("phi_inverse", "hetyei", "1,1;1,1;2,3", ";3;2,3;1,2,3",
@@ -171,6 +174,28 @@ def test_suite_catches_a_sabotaged_map(monkeypatch, name, model, text, wrong,
     monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
     failed = failed_checks(run_suite(3, 0))
     assert failed.get((check, owner, 3)) == witness
+
+
+def test_embedding_names_the_first_missed_singleton(monkeypatch, capsys):
+    # (1, 2, 3) goes to a valid settuple that is no singleton tuple, so
+    # 1;2;3 is the one singleton no permutation reaches
+    real = maps.embed_permutation
+    image = models.parse("settuple", "2;1,3;2")
+    monkeypatch.setattr(maps, "embed_permutation",
+                        lambda word: image if tuple(word) == (1, 2, 3) else real(word))
+    failed = failed_checks(run_suite(3, 0))
+    assert failed == {("permutation-embedding", "settuple", 3): "1;2;3"}
+    assert main(["verify", "--max-n", "3"]) == 1
+
+
+def test_embedding_counts_a_cell_short_of_singletons(monkeypatch, capsys):
+    real = models._ENUMERATORS["settuple"]
+    dropped = models.parse("settuple", "1;2;3")
+    monkeypatch.setitem(models._ENUMERATORS, "settuple",
+                        lambda n: (s for s in real(n) if s != dropped))
+    failed = failed_checks(run_suite(3, 0))
+    assert failed[("permutation-embedding", "settuple", 3)] == (
+        "expected 6 singleton tuples, got 5")
 
 
 # k of every Dellac configuration of order n falls outside 1..n: n + 1 (past
