@@ -24,11 +24,14 @@ check that needs them; order n - 1 is kept for the reduce/lift checks.
 Enumerators and maps build their objects without validating them (see
 models).  The serialization round-trip validates every enumerated object
 through parse before anything else reads it, and a cell holds only the
-objects it accepts.  A map image counts as valid only as a member of its
-target cell: a non-member image fails the check that guards its map, with
-the source object as witness (reduce-lift names the first l = n object
-that reduce and lift do not carry back to itself), and no statistic or map
-is computed on it.
+objects it accepts.  Each map's results are a position table: for every
+object of the source cell, the position of its image in the target cell,
+or None when the image is no member.  Membership is decided once, as the
+table is built, and the checks compare positions and read the target
+cell's statistics at them.  No check accepts None, so a non-member image
+fails the check that guards its map, with the source object as witness
+(reduce-lift names the first l = n object that reduce and lift do not
+carry back to itself), and no statistic or map is computed on it.
 
 Failures never raise; they are collected as check records carrying a
 replayable witness (a canonical serialization whenever an object is at
@@ -243,10 +246,10 @@ class _Cell:
     """The enumerated objects of one (model, n) cell, each object's
     statistics, and each object's position in the cell.
 
-    Map images are kept in lists aligned with `objs`, each image interned
-    through the target cell, so a table holds no second copy of a cell.
-    A table lookup or a statistic of a non-member is None, which no check
-    accepts: membership stands in for the validation of a map image.
+    A map's results are a position table aligned with `objs` (see
+    `positions`), so no image object outlives the table's construction.
+    A non-member image has position None, which no check accepts:
+    membership stands in for the validation of a map image.
     """
 
     __slots__ = ("objs", "stats", "pos")
@@ -258,23 +261,10 @@ class _Cell:
         self.stats = [shared.setdefault(kl, kl) for kl in map(models.statistics, objs)]
         self.pos = {o: i for i, o in enumerate(objs)}
 
-    def intern(self, obj):
-        """The cell's own instance equal to obj, or obj when it is no member."""
-        i = self.pos.get(obj)
-        return obj if i is None else self.objs[i]
-
-    def images(self, fn, target: _Cell) -> list:
-        """fn of every object of this cell, interned through target."""
-        return [target.intern(fn(o)) for o in self.objs]
-
-    def lookup(self, table: list, obj):
-        """obj's entry in table (aligned with objs), or None when obj is no
-        member."""
-        i = self.pos.get(obj)
-        return None if i is None else table[i]
-
-    def statistics(self, obj) -> tuple[int, int] | None:
-        return self.lookup(self.stats, obj)
+    def positions(self, fn, target: _Cell) -> list[int | None]:
+        """The position in target of fn of each object, None for a non-member."""
+        find = target.pos.get
+        return [find(fn(o)) for o in self.objs]
 
 
 def _matrix_report(n: int, tables: dict[str, dict[tuple[int, int], int]]) -> ConsistencyReport:
@@ -373,59 +363,57 @@ def _hetyei_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
            f"2^{n} * {total} = {doubled}, expected {expected}")
 
 
+def _returns(pairs, back: list):
+    """For each pair (i, j) of a position and its image's position, whether
+    back carries j back to i."""
+    return (j is not None and back[j] == i for i, j in pairs)
+
+
+def _keeps(there: list, target: _Cell, stats: list):
+    """For each position i, whether the member of target at there[i] has the
+    statistics stats[i]."""
+    return (j is not None and target.stats[j] == kl for j, kl in zip(there, stats))
+
+
 def _bijection_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
     chains, settuples, hetyeis = cells["chain"], cells["settuple"], cells["hetyei"]
 
-    to_settuple = chains.images(maps.chain_to_settuple, settuples)
-    to_chain = settuples.images(maps.settuple_to_chain, chains)
-    bad = _first_bad(chains.objs, (
-        settuples.lookup(to_chain, s) == c
-        for c, s in zip(chains.objs, to_settuple)
-    ))
+    to_settuple = chains.positions(maps.chain_to_settuple, settuples)
+    to_chain = settuples.positions(maps.settuple_to_chain, chains)
+    bad = _first_bad(chains.objs, _returns(enumerate(to_settuple), to_chain))
     _check(report.checks, "chain-settuple-roundtrip", "settuple", n, bad is None, bad)
-    bad = _first_bad(settuples.objs, (
-        chains.lookup(to_settuple, c) == s
-        for s, c in zip(settuples.objs, to_chain)
-    ))
+    bad = _first_bad(settuples.objs, _returns(enumerate(to_chain), to_settuple))
     _check(report.checks, "settuple-chain-roundtrip", "settuple", n, bad is None, bad)
     bad = _first_bad(settuples.objs, (
-        maps.closed_form_chain(s) == c for s, c in zip(settuples.objs, to_chain)
+        j is not None and maps.closed_form_chain(s) == chains.objs[j]
+        for s, j in zip(settuples.objs, to_chain)
     ))
     _check(report.checks, "chain-closed-form", "settuple", n, bad is None, bad)
-    bad = _first_bad(chains.objs, (
-        settuples.statistics(s) == stats for s, stats in zip(to_settuple, chains.stats)
-    ))
+    bad = _first_bad(chains.objs, _keeps(to_settuple, settuples, chains.stats))
     _check(report.checks, "chain-settuple-statistics", "settuple", n, bad is None, bad)
 
-    to_pairs = chains.images(maps.phi, hetyeis)
-    images: set = set()
-    collision = None
-    for c, m in zip(chains.objs, to_pairs):
-        if m in images:
-            collision = models.serialize(c)
-            break
-        images.add(m)
-    _check(report.checks, "phi-injective", "hetyei", n, collision is None, collision)
-    _check(report.checks, "phi-image", "hetyei", n, images == hetyeis.pos.keys(),
+    to_pairs = chains.positions(maps.phi, hetyeis)
+    # the first chain sent to each position; a later one is a collision
+    first: dict[int | None, int] = {}
+    for i, j in enumerate(to_pairs):
+        first.setdefault(j, i)
+    bad = _first_bad(chains.objs, (
+        j is None or first[j] == i for i, j in enumerate(to_pairs)
+    ))
+    _check(report.checks, "phi-injective", "hetyei", n, bad is None, bad)
+    # positions lie below len(hetyeis.objs), so that many distinct ones cover the cell
+    _check(report.checks, "phi-image", "hetyei", n,
+           None not in first and len(first) == len(hetyeis.objs),
            "phi image differs from the enumerated pair tuples")
-    from_pairs = hetyeis.images(maps.phi_inverse, chains)
-    bad = _first_bad(chains.objs, (
-        hetyeis.lookup(from_pairs, m) == c
-        for c, m in zip(chains.objs, to_pairs)
-    ))
+    from_pairs = hetyeis.positions(maps.phi_inverse, chains)
+    bad = _first_bad(chains.objs, _returns(enumerate(to_pairs), from_pairs))
     _check(report.checks, "phi-roundtrip", "hetyei", n, bad is None, bad)
-    bad = _first_bad(hetyeis.objs, (
-        chains.lookup(to_pairs, c) == m for m, c in zip(hetyeis.objs, from_pairs)
-    ))
+    bad = _first_bad(hetyeis.objs, _returns(enumerate(from_pairs), to_pairs))
     _check(report.checks, "phi-inverse-roundtrip", "hetyei", n, bad is None, bad)
-    bad = _first_bad(chains.objs, (
-        hetyeis.statistics(m) == stats for m, stats in zip(to_pairs, chains.stats)
-    ))
+    bad = _first_bad(chains.objs, _keeps(to_pairs, hetyeis, chains.stats))
     _check(report.checks, "phi-statistics", "hetyei", n, bad is None, bad)
-    bad = _all_bad(hetyeis.objs, (
-        stats == chains.statistics(c) for stats, c in zip(hetyeis.stats, from_pairs)
-    ))
+    bad = _all_bad(hetyeis.objs, _keeps(from_pairs, chains, hetyeis.stats))
     _check(report.checks, "redundancy-transport", "hetyei", n, bad is None, bad)
 
 
@@ -433,24 +421,22 @@ def _involution_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> No
     n = report.n
     for model in _INVOLUTIVE:
         cell = cells[model]
-        t = cell.images(maps.involution_t, cell)
-        r = cell.images(maps.involution_r, cell)
+        t = cell.positions(maps.involution_t, cell)
+        r = cell.positions(maps.involution_r, cell)
 
-        def t_ok(o, stats: tuple[int, int], image) -> bool:
-            k, l = stats
-            j = cell.pos.get(image)
-            if j is None or t[j] != o or cell.stats[j] != (l, k):
+        def t_ok(i: int) -> bool:
+            j, (k, l) = t[i], cell.stats[i]
+            if j is None or t[j] != i or cell.stats[j] != (l, k):
                 return False
-            return k != l or image == o
+            return k != l or j == i
 
-        def r_ok(o, stats: tuple[int, int], image) -> bool:
-            k, l = stats
-            j = cell.pos.get(image)
-            return j is not None and r[j] == o and cell.stats[j] == (n + 1 - l, n + 1 - k)
+        def r_ok(i: int) -> bool:
+            j, (k, l) = r[i], cell.stats[i]
+            return j is not None and r[j] == i and cell.stats[j] == (n + 1 - l, n + 1 - k)
 
-        bad = _first_bad(cell.objs, map(t_ok, cell.objs, cell.stats, t))
+        bad = _first_bad(cell.objs, map(t_ok, range(len(t))))
         _check(report.checks, "involution-t", model, n, bad is None, bad)
-        bad = _first_bad(cell.objs, map(r_ok, cell.objs, cell.stats, r))
+        bad = _first_bad(cell.objs, map(r_ok, range(len(r))))
         _check(report.checks, "involution-r", model, n, bad is None, bad)
 
 
@@ -464,17 +450,17 @@ def _reduction_checks(report: ConsistencyReport, cells: dict[str, _Cell],
     smaller = triangles.normalized_genocchi(n - 1)
     for model in _INVOLUTIVE:
         cell, lower = cells[model], below[model]
-        primed = [o for o, (_, l) in zip(cell.objs, cell.stats) if l == n]
+        primed = [i for i, (_, l) in enumerate(cell.stats) if l == n]
+        objs = [cell.objs[i] for i in primed]
         if len(primed) != smaller:
-            witness = models.serialize(primed[0]) if primed else "no primed objects"
+            witness = models.serialize(objs[0]) if primed else "no primed objects"
         else:
             # lift(reduce(o)) == o for every primed o makes reduce injective,
             # so with the counts equal a bijection onto the cell below, which
             # gives reduce(lift(b)) == b for every b below too
-            lifted = lower.images(maps.lift, cell)
-            witness = _first_bad(primed, (
-                lower.lookup(lifted, maps.reduce(o)) == o for o in primed
-            ))
+            reduced = (lower.pos.get(maps.reduce(o)) for o in objs)
+            lifted = lower.positions(maps.lift, cell)
+            witness = _first_bad(objs, _returns(zip(primed, reduced), lifted))
         _check(report.checks, "reduce-lift", model, n, witness is None, witness)
 
 

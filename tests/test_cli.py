@@ -131,7 +131,8 @@ def test_enumerate_json_with_stats(capsys):
 
 @pytest.mark.parametrize("model", models.MODEL_NAMES)
 def test_enumerate_json_is_the_dumped_list(capsys, model):
-    for n in range(1, 5):
+    # order 5 has 295 objects: the listing is written in two batches
+    for n in range(1, 6):
         objs = list(models.enumerate_model(model, n))
         plain = [models.serialize(o) for o in objs]
         stats = [{"serialization": models.serialize(o), "k": models.k_statistic(o),
@@ -140,6 +141,13 @@ def test_enumerate_json_is_the_dumped_list(capsys, model):
             _, out, _ = run(capsys, "enumerate", "--model", model, "--n", str(n),
                             "--format", "json", *extra)
             assert out == json.dumps(listing, sort_keys=True) + "\n", (n, extra)
+
+
+def test_sequence_json_is_the_dumped_list(capsys):
+    # 600 values are written in three batches
+    _, out, _ = run(capsys, "sequence", "normalized", "--count", "600", "--format", "json")
+    values = [triangles.normalized_genocchi(n) for n in range(600)]
+    assert out == json.dumps(values, sort_keys=True) + "\n"
 
 
 def traced_peak(monkeypatch, sink, *argv):

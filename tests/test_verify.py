@@ -162,6 +162,34 @@ SABOTAGED_MAPS = [
 _IMAGE_MODEL = {"chain_to_settuple": "settuple", "settuple_to_chain": "chain",
                 "phi": "hetyei", "phi_inverse": "chain"}
 
+# Every check that a sabotaged case fails, keyed by (map, input), where that
+# is more than the check its row names: each check that reads the wrong image
+# fails, with its own witness.
+SABOTAGE_FAILURES = {
+    ("chain_to_settuple", ";1;1,2;1,2,3"): {
+        ("chain-settuple-roundtrip", "settuple", 3): ";1;1,2;1,2,3",
+        ("chain-settuple-statistics", "settuple", 3): ";1;1,2;1,2,3",
+        ("settuple-chain-roundtrip", "settuple", 3): "1;2;3",
+    },
+    ("settuple_to_chain", "1;2;3"): {
+        ("chain-closed-form", "settuple", 3): "1;2;3",
+        ("chain-settuple-roundtrip", "settuple", 3): ";1;1,2;1,2,3",
+        ("settuple-chain-roundtrip", "settuple", 3): "1;2;3",
+    },
+    ("phi", ";1;1,2;1,2,3"): {
+        ("phi-image", "hetyei", 3): "phi image differs from the enumerated pair tuples",
+        ("phi-injective", "hetyei", 3): ";1;1,3;1,2,3",
+        ("phi-inverse-roundtrip", "hetyei", 3): "1,1;2,2;3,3",
+        ("phi-roundtrip", "hetyei", 3): ";1;1,2;1,2,3",
+        ("phi-statistics", "hetyei", 3): ";1;1,2;1,2,3",
+    },
+    ("phi_inverse", "1,1;1,1;2,3"): {
+        ("phi-inverse-roundtrip", "hetyei", 3): "1,1;1,1;2,3",
+        ("phi-roundtrip", "hetyei", 3): ";2;2,3;1,2,3",
+        ("redundancy-transport", "hetyei", 3): "1,1;1,1;2,3",
+    },
+}
+
 
 @pytest.mark.parametrize("name,model,text,wrong,check,owner,witness", SABOTAGED_MAPS)
 def test_suite_catches_a_sabotaged_map(monkeypatch, name, model, text, wrong,
@@ -174,6 +202,7 @@ def test_suite_catches_a_sabotaged_map(monkeypatch, name, model, text, wrong,
     monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
     failed = failed_checks(run_suite(3, 0))
     assert failed.get((check, owner, 3)) == witness
+    assert failed == SABOTAGE_FAILURES.get((name, text), {(check, owner, 3): witness})
 
 
 def test_embedding_names_the_first_missed_singleton(monkeypatch, capsys):
@@ -234,6 +263,15 @@ INVALID_IMAGES = [
     ("reduce", "settuple", "1;2;3", ((1,), (1,)), "reduce-lift", "settuple", "1;2;3"),
     ("lift", "dellac", "1 1 2 2", (1, 1, 1, 1, 1, 1), "reduce-lift", "dellac", "1 1 3 2 2 3"),
 ]
+# An invalid image fails the same checks as a wrong valid one, but it is no
+# member, so it collides with no other image and phi stays injective.
+INVALID_IMAGE_FAILURES = {
+    **SABOTAGE_FAILURES,
+    ("phi", ";1;1,2;1,2,3"): {
+        key: witness for key, witness in SABOTAGE_FAILURES[("phi", ";1;1,2;1,2,3")].items()
+        if key[0] != "phi-injective"
+    },
+}
 
 
 @pytest.mark.parametrize("name,model,text,data,check,owner,witness", INVALID_IMAGES)
@@ -249,6 +287,7 @@ def test_suite_reports_an_invalid_map_image(monkeypatch, capsys, name, model, te
     monkeypatch.setattr(maps, name, lambda obj: image if obj == target else real(obj))
     failed = failed_checks(run_suite(3, 0))
     assert failed.get((check, owner, 3)) == witness
+    assert failed == INVALID_IMAGE_FAILURES.get((name, text), {(check, owner, 3): witness})
     assert main(["verify", "--max-n", "3"]) == 1
 
 
