@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: the order is too deep for Python's recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away; silence the shutdown flush as well
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -43,7 +43,12 @@ Enumeration is a lazy iterator that emits each object exactly once,
 ordered lexicographically by its canonical serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
 n <= 8, overridable) are refused at the call, before any object is built.
-Enumerators are pure, so concurrent or repeated runs agree.
+Enumerators are pure, so concurrent or repeated runs agree.  The chain
+enumerator states the family's rule as its one choice: I_i is I_{i-1}
+without i plus i - #(I_{i-1} minus {i}) values from outside that base.  The
+set-tuple enumerator walks the state its tally keys on, one bit a value:
+before step j, bit v says for v < j that v has one occurrence still to
+come, and for v >= j that v has occurred.
 
 statistics_table gives the joint (k, l) table of a family without building
 its objects: each family's tally is a forward dynamic programme over its
@@ -798,17 +803,14 @@ def _iter_chains(n: int) -> Iterator[FeiginChain]:
         if i > n:
             yield _trusted(FeiginChain, n, tuple(acc))
             return
-        prev = acc[-1]
-        free = [v for v in range(1, n + 1) if v not in prev]
-        # I_i is I_{i-1} plus one value, or, when i is in I_{i-1}, I_{i-1}
-        # without i plus two values
-        choices = [tuple(sorted([*prev, x])) for x in free]
-        if i in prev:
-            # a list, not tuple() over a generator: that over-allocates and
-            # shrinks each tuple, and the shrunk blocks pile up in CPython's
-            # free lists (about 200 KiB at n = 6)
-            base = [v for v in prev if v != i]
-            choices.extend(tuple(sorted([*base, x, y])) for x, y in combinations(free, 2))
+        # I_i is I_{i-1} without i plus i - #base values from outside that
+        # base (i among them).  Each tuple is built from a list: tuple() over
+        # a generator over-allocates and shrinks it, and the shrunk blocks
+        # pile up in CPython's free lists (about 200 KiB at n = 6).
+        base = [v for v in acc[-1] if v != i]
+        outside = [v for v in range(1, n + 1) if v not in base]
+        choices = [tuple(sorted(base + list(extra)))
+                   for extra in combinations(outside, i - len(base))]
         for part in sorted(choices, key=_subset_text):
             acc.append(part)
             yield from extend(i + 1)
@@ -837,62 +839,48 @@ def _tally_chains(n: int) -> dict[tuple[int, int], int]:
 
 
 def _iter_settuples(n: int) -> Iterator[SetTuple]:
-    # occ[v]: occurrences of value v placed so far; target[v]: #S_v once step v
-    # has chosen its set (0 while undecided).
-    occ = [0] * (n + 1)
-    target = [0] * (n + 1)
+    # mask is the one-bit-a-value state of the module docstring; every step
+    # tries the same 1- and 2-subsets of [n], in text order
+    parts = sorted(
+        ((part, sum(1 << v for v in part))
+         for size in (1, 2) for part in combinations(range(1, n + 1), size)),
+        key=lambda entry: _subset_text(entry[0]),
+    )
+    values = (1 << n + 1) - 2
     acc: list[tuple[int, ...]] = []
 
-    def may_use(v: int, j: int) -> bool:
-        if v > j:
-            return occ[v] == 0  # a second early occurrence could never straddle v
-        if v == j:
-            return occ[v] == 0  # only as the sole occurrence of a singleton S_v
-        return occ[v] < target[v]
-
-    def feasible(j: int) -> bool:
-        need = 0
-        for v in range(1, n + 1):
-            if target[v]:
-                need += target[v] - occ[v]
-            elif occ[v] == 0:
-                need += 1
-        return need <= 2 * (n - j)
-
-    def extend(j: int) -> Iterator[SetTuple]:
+    def extend(j: int, mask: int) -> Iterator[SetTuple]:
         if j > n:
-            # feasible(n) held: need <= 0 sums terms target[v] - occ[v] >= 0, all now 0
             yield _trusted(SetTuple, n, tuple(acc))
             return
-        choices: list[tuple[int, ...]] = []
-        usable = [v for v in range(1, n + 1) if may_use(v, j)]
-        choices.extend((v,) for v in usable)
-        if occ[j] == 1:  # straddle needs one occurrence of j strictly before j
-            choices.extend(
-                (x, y) for x, y in combinations(usable, 2) if x != j and y != j
-            )
-        for chosen in sorted(choices, key=_subset_text):
-            target[j] = len(chosen)
-            for v in chosen:
-                occ[v] += 1
-            if feasible(j):
-                acc.append(chosen)
-                yield from extend(j + 1)
-                acc.pop()
-            for v in chosen:
-                occ[v] -= 1
-            target[j] = 0
+        earlier = (1 << j) - 2  # the bits of the values 1..j-1
+        # v < j while it has an occurrence to come, v >= j until it has one
+        usable = mask & earlier | ~mask & values & ~earlier
+        seen = mask >> j & 1
+        low = earlier | 1 << j
+        for part, chosen in parts:
+            # a pair S_j needs one occurrence of j before j, which then is
+            # not usable, and one after
+            if chosen & ~usable or len(part) == 2 and not seen:
+                continue
+            to_come = len(part) == 2 if seen else chosen != 1 << j
+            new = (mask ^ chosen) & ~(1 << j) | to_come << j
+            # the occurrences to come, plus one for each v > j not yet
+            # seen, fit the 2 (n - j) places left
+            if (new & low).bit_count() + n - j - (new >> j + 1).bit_count() > 2 * (n - j):
+                continue
+            acc.append(part)
+            yield from extend(j + 1, new)
+            acc.pop()
 
-    yield from extend(1)
+    yield from extend(1, 0)
 
 
 def _tally_settuples(n: int) -> dict[tuple[int, int], int]:
-    # the enumerator's steps and its feasible bound.  may_use and feasible
-    # read one bit a value, kept in a mask: before step j, bit v says for
-    # v < j that v has one occurrence still to come (target[v] - occ[v] = 1,
-    # never more) and for v >= j that v has occurred (occ[v] = 1, never
-    # more).  A state is (k, l, that mask), k and l the steps whose sets
-    # hold 1 and n (0 before).
+    # the enumerator's steps, rule and bound, on its mask: one bit a value
+    # holds the state, since a value never has more than one occurrence
+    # to come, nor more than one before its own step.  A state is (k, l,
+    # that mask), k and l the steps whose sets hold 1 and n (0 before).
     states = {(0, 0, 0): 1}
     for j in range(1, n + 1):
         low = (1 << j + 1) - 2  # the bits of the values 1..j
@@ -910,8 +898,8 @@ def _tally_settuples(n: int) -> dict[tuple[int, int], int]:
                 # or after a singleton other than {j} when it has not occurred
                 to_come = chosen & chosen - 1 != 0 if seen else chosen != 1 << j
                 new = (mask ^ chosen) & ~(1 << j) | to_come << j
-                # feasible(j): the occurrences to come, plus one for each
-                # v > j not yet seen, fit the 2 (n - j) places left
+                # the occurrences to come, plus one for each v > j not
+                # yet seen, fit the 2 (n - j) places left
                 need = (new & low).bit_count() + n - j - (new & ~low).bit_count()
                 if need > 2 * (n - j):
                     continue

@@ -222,11 +222,10 @@ def test_criterion_09_pair_count_and_orbits():
     criterion(9, t0, ok, "pair count n <= 4 and orbit doubling n <= 6", bound=10.0)
 
 
-@pytest.mark.slow
 def test_criterion_09_slow_pair_count_order_five():
     t0 = time.perf_counter()
     ok = models.hetyei_pair_count(5) == triangles.median_genocchi(5)
-    criterion("9 (slow, n=5)", t0, ok, "pair count equals the median number at n=5")
+    criterion("9 (n=5)", t0, ok, "pair count equals the median number at n=5")
 
 
 def test_criterion_10_redundancy_transport():

@@ -380,6 +380,23 @@ def test_an_order_too_deep_for_the_recursion_limit_exits_2(capsys, fmt):
     assert "Traceback" not in err
 
 
+def _out_of_memory(n):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--model", "hetyei", "--n", "3"),
+    ("count", "--model", "dellac", "--n", "3"),
+    ("verify", "--max-n", "3"),
+], ids=["enumerate", "count", "verify"])
+def test_running_out_of_memory_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setitem(models._ENUMERATORS, "hetyei", _out_of_memory)
+    monkeypatch.setitem(models._TALLIES, "dellac", _out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2

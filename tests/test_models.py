@@ -9,6 +9,7 @@ main correctness evidence for the models module.
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import re
 import tracemalloc
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import DATA_ATTRIBUTES, cached_objects, rebuilt
-from genocchi import models, triangles
+from genocchi import cli, models, triangles
 from genocchi.models import (
     DellacConfiguration,
     DumontPermutation,
@@ -296,6 +297,40 @@ def test_enumeration_streams_in_bounded_memory(model):
         tracemalloc.stop()
     assert count == triangles.normalized_genocchi(6)
     assert peak < 256 * 1024
+
+
+# sha256 of the stdout of `enumerate --model M --n N`, the listing byte for byte
+LISTING_SHA256 = {
+    5: {
+        "pd2n": "d9265f47915853f23526546ffbb2c7a71b399808b48c918f5cc9c72513c31e4c",
+        "dellac": "f60c6fba5924e79ad2df4c2809d9e11275ad4ee9fc5773c3dc3b9bc0ed74f3cd",
+        "chain": "9b670960efa93c15ef07021630762403bd594f641a06cceff3cca9a4144ae7e7",
+        "settuple": "f81765f6b7d1e4bea1d271a4707e096b427c391efdb8d51b1220244aaa0cd1f7",
+        "hetyei": "e163f053f9a7ca0acf24741003a68fad32024b19813f0efa63905917cb8dafd8",
+    },
+    6: {
+        "pd2n": "0fd13a296ca901ed919cbd08a72b9077a7f456a254e9b0882224abdfb61af160",
+        "dellac": "1637320367be8612d4bee046d179762d2b8ad19fb9c46de04f57ee2c5529e9ea",
+        "chain": "91cd0fe2dad3a7e0fde2922ae8b3b08896e7f47fc04f5a381eb541028259356f",
+        "settuple": "0227dabe00c68ddaac5d26ad7360233302b9b67352d40d0e51959c7d6c37e3eb",
+        "hetyei": "9a143a3c9018bacedc2a8472a1f0d43a6b7bb4ce248d5234892c9da9529fe579",
+    },
+    7: {
+        "pd2n": "395f7fead8ef49b8b868625a39eaa6985be3001bf88655a766c3d9def827a975",
+        "dellac": "45d40f502ec1675e7b27afb6f44ee9c2f39cfc96945a889e357e35af0a1f4b26",
+        "chain": "6d5f5de2ad835cff1ecc5da30beca27cac9cd81d983ce8a719c1b0da13fef880",
+        "settuple": "bcf45d51dd656e5e045939ec30c6d4bd2d35b58d71fef56068d9d7baa8677f35",
+        "hetyei": "984ab4dda0de8683c964686f2bd5f750ed2a0f5dde4d59025f8fd42e528c11cb",
+    },
+}
+
+
+@pytest.mark.parametrize("n", [5, 6, pytest.param(7, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_listing_is_pinned(capsys, model, n):
+    assert cli.main(["enumerate", "--model", model, "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[n][model]
 
 
 def test_string_order_differs_from_numeric_for_wide_words(objects):
@@ -666,7 +701,6 @@ def test_pair_count_equals_median(objects):
         assert models.hetyei_pair_count(n) == triangles.median_genocchi(n)
 
 
-@pytest.mark.slow
 def test_pair_count_order_five():
     assert models.hetyei_pair_count(5) == triangles.median_genocchi(5) == 9440
 
