@@ -63,13 +63,30 @@ def _dump_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+# the most lines or JSON items held and written at once: enough to write
+# in few calls, few enough to bound the memory
+_BATCH = 256
+
+
+def _batches(items):
+    """The items as lists of up to _BATCH, in order."""
+    items = iter(items)
+    while batch := list(islice(items, _BATCH)):
+        yield batch
+
+
+def _write_lines(lines) -> None:
+    """Write the lines, each ending in a newline, one batch at a time."""
+    for batch in _batches(lines):
+        sys.stdout.write("".join(batch))
+
+
 def _dump_json_list(items) -> None:
     """Print what _dump_json(list(items)) prints, holding one batch at a time."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    items = iter(items)
     sep = ""
     sys.stdout.write("[")
-    while batch := list(islice(items, 256)):
+    for batch in _batches(items):
         sys.stdout.write(sep + encode(batch)[1:-1])  # "[a, b]" without its brackets
         sep = ", "
     sys.stdout.write("]\n")
@@ -144,13 +161,11 @@ def _cmd_enumerate(args) -> int:
             )
         else:
             _dump_json_list(models.serialize(o) for o in objs)
+    elif args.stats:
+        _write_lines(f"{models.serialize(o)}\tk={k} l={l}\n"
+                     for o in objs for k, l in (models.statistics(o),))
     else:
-        for obj in objs:
-            line = models.serialize(obj)
-            if args.stats:
-                k, l = models.statistics(obj)
-                line += f"\tk={k} l={l}"
-            print(line)
+        _write_lines(f"{models.serialize(o)}\n" for o in objs)
     return 0
 
 

@@ -29,6 +29,12 @@ and statistics.  pd2n, dellac and settuple also carry the involutions t
 and r and the order maps reduce and lift, as the methods _t, _r, _reduce
 and _lift; callers apply them through maps.involution_t, involution_r,
 reduce and lift, which check the family and reduce's precondition l = n.
+HetyeiTuple._k scans once down from position n, builds neither the chain
+nor the set of redundant positions, and stops at the first of them: the
+pair {n, n} at n, or below n the first pair that holds c, the largest
+chain value at or below the position, which steps to the pair's u as the
+scan reaches it.  redundancy_chain and redundant_positions compute the
+same from the definition, for the verifier to check k against.
 
 Canonical serializations (ASCII, no trailing whitespace):
 
@@ -211,7 +217,7 @@ class DumontPermutation(ModelObject):
                 )
 
     def serialize(self) -> str:
-        return " ".join(str(v) for v in self.word)
+        return " ".join([str(v) for v in self.word])
 
     def _k(self) -> int:
         return self.word[0] // 2
@@ -276,7 +282,7 @@ class DellacConfiguration(ModelObject):
             raise ModelInvariantError(f"column {c} holds {counts[c]} dots, expected 2")
 
     def serialize(self) -> str:
-        return " ".join(str(c) for c in self.row_columns)
+        return " ".join([str(c) for c in self.row_columns])
 
     def _k(self) -> int:
         return self.row_columns[self.n]
@@ -350,7 +356,7 @@ class FeiginChain(ModelObject):
             prev = cur
 
     def serialize(self) -> str:
-        return ";".join(",".join(str(v) for v in part) for part in self.subsets)
+        return ";".join([",".join([str(v) for v in part]) for part in self.subsets])
 
     def _k(self) -> int:
         for i, part in enumerate(self.subsets):
@@ -418,7 +424,7 @@ class SetTuple(ModelObject):
                 )
 
     def serialize(self) -> str:
-        return ";".join(",".join(str(v) for v in part) for part in self.sets)
+        return ";".join([",".join([str(v) for v in part]) for part in self.sets])
 
     def _k(self) -> int:
         for j, part in enumerate(self.sets, 1):
@@ -493,13 +499,28 @@ class HetyeiTuple(ModelObject):
             raise ModelInvariantError(f"entries do not cover 1..{n}: missing {missing}")
 
     def serialize(self) -> str:
-        return ";".join(f"{u},{v}" for u, v in self.pairs)
+        return ";".join([f"{u},{v}" for u, v in self.pairs])
 
     def _k(self) -> int:
-        return self.n + 1 - max(redundant_positions(self))
+        # the scan of the module docstring; c is the largest chain value <= p
+        _, n, pairs = self
+        below = reversed(pairs)
+        c = next(below)[0]  # u_n, which is n only for the pair {n, n}
+        if c == n:
+            return 1
+        p = n
+        for pair in below:
+            p -= 1
+            if c in pair:
+                return n + 1 - p
+            if p == c:
+                c = pair[0]
 
     def _l(self) -> int:
-        return self.n + 1 - max(i for i, (u, v) in enumerate(self.pairs, 1) if 1 in (u, v))
+        # the last pair holding 1, which is its u since u <= v
+        for l, (u, _) in enumerate(reversed(self.pairs), 1):
+            if u == 1:
+                return l
 
     @classmethod
     def from_text(cls, text: str) -> "HetyeiTuple":
@@ -703,6 +724,7 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 
 def _iter_dumont(n: int) -> Iterator[DumontPermutation]:
     m = 2 * n + 2
+    last = m - 1
     word = [0] * m
     used = [False] * (m + 1)
     # position p takes a value > p when p is odd, < p when p is even
@@ -712,17 +734,17 @@ def _iter_dumont(n: int) -> Iterator[DumontPermutation]:
     ]
 
     def extend(pos: int) -> Iterator[DumontPermutation]:
-        if pos == m:
-            yield _trusted(DumontPermutation, n, tuple(word))
-            return
         for v in candidates[pos]:
             # placing odd 2i+1 before its mate 2i would break normalization
             if used[v] or (v % 2 and v > 1 and not used[v - 1]):
                 continue
-            used[v] = True
             word[pos] = v
-            yield from extend(pos + 1)
-            used[v] = False
+            if pos == last:
+                yield _trusted(DumontPermutation, n, tuple(word))
+            else:
+                used[v] = True
+                yield from extend(pos + 1)
+                used[v] = False
 
     yield from extend(0)
 
@@ -756,9 +778,6 @@ def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
     ]
 
     def extend(i: int) -> Iterator[DellacConfiguration]:
-        if i > rows:
-            yield _trusted(DellacConfiguration, n, tuple(cols))
-            return
         closing = i - n  # column whose band ends at row i
         for c in candidates[i - 1]:
             if load[c] == 2:
@@ -766,7 +785,10 @@ def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
             load[c] += 1
             cols[i - 1] = c
             if closing < 1 or load[closing] == 2:
-                yield from extend(i + 1)
+                if i == rows:
+                    yield _trusted(DellacConfiguration, n, tuple(cols))
+                else:
+                    yield from extend(i + 1)
             load[c] -= 1
 
     yield from extend(1)
@@ -800,9 +822,6 @@ def _iter_chains(n: int) -> Iterator[FeiginChain]:
     acc: list[tuple[int, ...]] = [()]
 
     def extend(i: int) -> Iterator[FeiginChain]:
-        if i > n:
-            yield _trusted(FeiginChain, n, tuple(acc))
-            return
         # I_i is I_{i-1} without i plus i - #base values from outside that
         # base (i among them).  Each tuple is built from a list: tuple() over
         # a generator over-allocates and shrinks it, and the shrunk blocks
@@ -813,7 +832,10 @@ def _iter_chains(n: int) -> Iterator[FeiginChain]:
                    for extra in combinations(outside, i - len(base))]
         for part in sorted(choices, key=_subset_text):
             acc.append(part)
-            yield from extend(i + 1)
+            if i == n:
+                yield _trusted(FeiginChain, n, tuple(acc))
+            else:
+                yield from extend(i + 1)
             acc.pop()
 
     yield from extend(1)
@@ -850,9 +872,6 @@ def _iter_settuples(n: int) -> Iterator[SetTuple]:
     acc: list[tuple[int, ...]] = []
 
     def extend(j: int, mask: int) -> Iterator[SetTuple]:
-        if j > n:
-            yield _trusted(SetTuple, n, tuple(acc))
-            return
         earlier = (1 << j) - 2  # the bits of the values 1..j-1
         # v < j while it has an occurrence to come, v >= j until it has one
         usable = mask & earlier | ~mask & values & ~earlier
@@ -870,7 +889,10 @@ def _iter_settuples(n: int) -> Iterator[SetTuple]:
             if (new & low).bit_count() + n - j - (new >> j + 1).bit_count() > 2 * (n - j):
                 continue
             acc.append(part)
-            yield from extend(j + 1, new)
+            if j == n:
+                yield _trusted(SetTuple, n, tuple(acc))
+            else:
+                yield from extend(j + 1, new)
             acc.pop()
 
     yield from extend(1, 0)
@@ -918,9 +940,6 @@ def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
     ]
 
     def extend(l: int, covered: int) -> Iterator[HetyeiTuple]:
-        if l > n:
-            yield _trusted(HetyeiTuple, n, tuple(pairs))
-            return
         # positions after l hold 2 (n - l) entries and position p may take
         # any value <= p, so by Hall's condition a prefix extends to a full
         # tuple exactly when at most that many values are still uncovered
@@ -931,7 +950,10 @@ def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
             if n - new.bit_count() > spare:
                 continue
             pairs[l - 1] = pair
-            yield from extend(l + 1, new)
+            if l == n:
+                yield _trusted(HetyeiTuple, n, tuple(pairs))
+            else:
+                yield from extend(l + 1, new)
 
     yield from extend(1, 0)
 

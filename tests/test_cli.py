@@ -7,12 +7,15 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import genocchi
 from genocchi import models, triangles
 from genocchi.cli import main
 
@@ -127,6 +130,25 @@ def test_enumerate_json_with_stats(capsys):
         {"serialization": ";1;1,2", "k": 1, "l": 2},
         {"serialization": ";2;1,2", "k": 2, "l": 1},
     ]
+
+
+def test_a_reader_that_goes_away_ends_enumerate_quietly():
+    # the 99 kB listing outgrows the pipe, so the program is still writing
+    # when the reader takes its one line and closes its end
+    src = str(Path(genocchi.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genocchi.cli", "enumerate", "--model", "hetyei",
+         "--n", "6", "--stats"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    first = models.serialize(next(models.enumerate_model("hetyei", 6)))
+    assert proc.stdout.readline().decode().startswith(first + "\tk=")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("model", models.MODEL_NAMES)

@@ -333,6 +333,51 @@ def test_listing_is_pinned(capsys, model, n):
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[n][model]
 
 
+# sha256 of the stdout of `enumerate --model M --n N --stats [--format csv]`;
+# the 295 lines of order 5 span one seam between two written batches
+STATS_LISTING_SHA256 = {
+    (5, "text"): {
+        "pd2n": "33894425cae4ce5346f59cc629402bcf5c8fdfd61a10634a7342019082552bea",
+        "dellac": "7f5a7ce696ee3ed06e1780a7521dc68ab5352274aa38e3bd3d930f9a0010e045",
+        "chain": "14ce26730b810505966e3ec843a52686dc6f13dbb93edb440fd59cf970d3871d",
+        "settuple": "6c79c852ccf2e5ca64f8629d5937ae4448aa7167d5f9835e780c30267ccf77a7",
+        "hetyei": "75d5ce970123d58a1b9e09dbffc11ebe822295ebf79a8615bfbe5a83cc633cc6",
+    },
+    (6, "text"): {
+        "pd2n": "139d53bc1487b290a6f67a4c8962535cdc5521b62fe1ab299ce49e2a72ea3c1b",
+        "dellac": "7cebf82955fe4ec34c2f00a3371ff584778c7c00e85095d311fef08609999db7",
+        "chain": "ae2b971a9dfba5eb25232b65e174f77893e15e6a0605e8146c600c6429f6a39a",
+        "settuple": "ffb5ac0f8a7c38906c4fac88f30ae9a522e1d8ea3af922c88fee8b97fe627372",
+        "hetyei": "a1dbe0cb76fd3a91f976908f60ef6f76d81929268eda8b8d1f5125e5c97bb9af",
+    },
+    (7, "text"): {
+        "pd2n": "41c08d906a312ee7e15d6ee32f6b1da8a1f3aea619892c373343a6f79dac2619",
+        "dellac": "10663b0475a93735d5e768eec6daf848bcd11e8c446a1efa47b0a4fb284a36de",
+        "chain": "5de86fb6c58808e858e910e032a045bcfe8b86efbdfc4ecd018e8313982f4568",
+        "settuple": "8252d5f3404b8b5d2dc57446c7e0c9ab1d064432ac263750c3916a8682f33c89",
+        "hetyei": "fba531818fe2353b2385f42fd5a4106844e5ab80adecd936ebd964dbeb69e684",
+    },
+    (5, "csv"): {
+        "pd2n": "097490082648b6eb4d6e105ea13ac8719fa2615e0730dfe7a1eb99f02990d740",
+        "dellac": "3ff28a3f21243598b95ee18502d5bbc588920a747e02a31878ee1912379cd985",
+        "chain": "e9b46a7fc2031188b50fd554192c12244793730608d1dfa0762fe3d6db691b00",
+        "settuple": "ba1b23511624a6877a4521478ebb9af697980953bbfda1cc15fde0cf507e89e0",
+        "hetyei": "6fa9d84766e7fcacadca699ad985a720fa5505d9cef4decccaee4468bf2915cb",
+    },
+}
+
+
+@pytest.mark.parametrize("n, fmt", [(5, "text"), (6, "text"),
+                                    pytest.param(7, "text", marks=pytest.mark.slow),
+                                    (5, "csv")])
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_stats_listing_is_pinned(capsys, model, n, fmt):
+    argv = ["enumerate", "--model", model, "--n", str(n), "--stats", "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STATS_LISTING_SHA256[n, fmt][model]
+
+
 def test_string_order_differs_from_numeric_for_wide_words(objects):
     # at order 5 the values 10 and 11 move freely, and "10" < "6" as strings
     listing = [models.serialize(o) for o in objects("pd2n", 5)]
@@ -581,14 +626,25 @@ DEFINED_STATISTICS = {
 }
 
 
+def assert_defined_statistics(model, n, objs):
+    for obj in objs:
+        k, l = DEFINED_STATISTICS[model](n, getattr(obj, DATA_ATTRIBUTES[type(obj)]))
+        assert models.k_statistic(obj) == k, obj
+        assert models.l_statistic(obj) == l, obj
+        assert models.statistics(obj) == (k, l), obj
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_statistics_follow_the_definitions(model, objects):
     for n in range(1, 7):
-        for obj in objects(model, n):
-            k, l = DEFINED_STATISTICS[model](n, getattr(obj, DATA_ATTRIBUTES[type(obj)]))
-            assert models.k_statistic(obj) == k, obj
-            assert models.l_statistic(obj) == l, obj
-            assert models.statistics(obj) == (k, l), obj
+        assert_defined_statistics(model, n, objects(model, n))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_statistics_follow_the_definitions_at_order_7(model):
+    # streamed, not cached: all 42,271 objects of each family
+    assert_defined_statistics(model, 7, models.enumerate_model(model, 7))
 
 
 # ---------------------------------------------------------------------------

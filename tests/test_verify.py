@@ -81,7 +81,9 @@ def literal_redundant_positions(m):
 
 
 def test_suite_catches_the_uncorrected_redundancy_rule(monkeypatch):
-    monkeypatch.setattr(models, "redundant_positions", literal_redundant_positions)
+    # k read off the uncorrected rule, which phi's transport of k contradicts
+    monkeypatch.setattr(models.HetyeiTuple, "_k",
+                        lambda m: m.n + 1 - max(literal_redundant_positions(m)))
     report = run_suite(3, 0)
     assert not report.passed
     transport = [
@@ -92,6 +94,16 @@ def test_suite_catches_the_uncorrected_redundancy_rule(monkeypatch):
     assert "1,1;1,2;1,3" in transport[0].witness
     # failure is reported, not raised, and the text names the witness
     assert "redundancy-transport" in report.to_text()
+
+
+def test_redundancy_structure_checks_k_against_the_redundant_positions(monkeypatch):
+    # k is scanned directly, so the uncorrected rule in redundant_positions
+    # alone contradicts it; the pair {1, 2} at the top is not redundant
+    monkeypatch.setattr(models, "redundant_positions", literal_redundant_positions)
+    report = run_suite(3, 0)
+    structure = [c for c in report.failures() if c.name == "redundancy-structure"]
+    assert [(c.n, c.witness) for c in structure] == [(2, "1,1;1,2"), (3, "1,1;1,1;2,3")]
+    assert {c.name for c in report.failures()} == {"redundancy-structure"}
 
 
 def test_failed_check_appears_in_text_and_csv_friendly_fields(monkeypatch):
