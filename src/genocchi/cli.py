@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -54,9 +55,14 @@ def _nonnegative(text: str) -> int:
 
 
 def _write_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """Write the header and the rows as CSV lines, one batch at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for batch in _batches(chain((header,), rows)):
+        writer.writerows(batch)
+        sys.stdout.write(out.getvalue())
+        out.seek(0)
+        out.truncate()
 
 
 def _dump_json(payload) -> None:
@@ -314,13 +320,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the enumerators recurse once per component of an object, so a deep
-        # enough order fails at its first object (count, which tallies
-        # without them, does not recurse)
+        # an enumeration walks its family's rule one frame a component, so
+        # a deep enough order fails at its first object (count's tally
+        # loops over the same rule's steps and does not recurse)
         print(f"error: the order is too deep for Python's recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
-    except MemoryError:
+    except MemoryError as exc:
+        # the tracebacks hold the failed call's frames, and with them the
+        # memory that ran out; free them before anything is printed
+        while exc is not None:
+            exc.__traceback__, exc = None, exc.__context__
         print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:

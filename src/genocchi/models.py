@@ -45,25 +45,32 @@ Canonical serializations (ASCII, no trailing whitespace):
     settuple  "2;1,3;2"                           subsets S_1..S_n
     hetyei    "1,1;1,2;2,2;3,4;3,5"               pairs "u,v" with u <= v
 
-Enumeration is a lazy iterator that emits each object exactly once,
-ordered lexicographically by its canonical serialization, in memory that
-does not grow with the count.  Orders beyond a resource guard (default
-n <= 8, overridable) are refused at the call, before any object is built.
-Enumerators are pure, so concurrent or repeated runs agree.  The chain
-enumerator states the family's rule as its one choice: I_i is I_{i-1}
-without i plus i - #(I_{i-1} minus {i}) values from outside that base.  The
-set-tuple enumerator walks the state its tally keys on, one bit a value:
-before step j, bit v says for v < j that v has one occurrence still to
-come, and for v >= j that v has occurred.
+Each family states its rule once, as a step function: given a step i and a
+state that keeps only what the later choices read, it lists the legal
+choices of the i-th component in text order, each with the state it
+leaves.  The state is the used values for pd2n, the column loads for
+dellac, I_{i-1} for chain, the covered values for hetyei, and for settuple
+one bit a value: before step j, bit v says for v < j that v has one
+occurrence still to come, and for v >= j that v has occurred.  The chain
+rule is its one choice: I_i is I_{i-1} without i plus i - #(I_{i-1} minus
+{i}) values from outside that base.
+
+Enumeration walks the rule depth first and remembers the choices of the
+(step, state) pairs it met last, in a memo of bounded size
+(_STEP_MEMO_SIZE pairs, least recently used dropped first).  It is a lazy
+iterator that emits each object exactly once, ordered lexicographically by
+its canonical serialization, in memory that does not grow with the count.
+Orders beyond a resource guard (default n <= 8, overridable) are refused at
+the call, before any object is built.  Enumerators are pure, so concurrent
+or repeated runs agree.
 
 statistics_table gives the joint (k, l) table of a family without building
-its objects: each family's tally is a forward dynamic programme over its
-enumerator's choices whose state keeps only what the later choices read,
-plus k and l once fixed (the column loads for dellac, the used values for
-pd2n, the last subset for chain, one occurrence bit a value for settuple,
-and for hetyei, walked from the last position, the covered values and the
-redundancy chain).  At order 8 it takes milliseconds where enumeration
-takes seconds; the same guard applies to it.
+its objects.  For pd2n, dellac, chain and settuple it is a forward dynamic
+programme over the same rule, whose state is the rule's plus k and l once a
+choice fixes them.  hetyei's k is fixed by the redundancy chain, which runs
+down from position n, so its table is tallied from the last position down,
+over the covered values and the chain.  At order 8 a table takes
+milliseconds where enumeration takes seconds; the same guard applies to it.
 
 Objects are immutable, hashable tuples (tag, n, data): the tag is a small
 int per family, so objects of two families never compare equal, and the
@@ -87,7 +94,7 @@ part is read again, piecewise, to name the fault.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from operator import gt, itemgetter, lt
 from typing import Iterator
@@ -710,252 +717,235 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# enumeration and tallies
 #
-# Each generator emits its objects in canonical order: at every step it tries
-# the choices in the string order of the text fragment a choice adds, that is
-# the component's text and its separator ("v " for pd2n and dellac, "a,b;"
-# for chain and settuple, "u,v;" for hetyei).  The separator occurs nowhere
-# else in a fragment, so no fragment is a prefix of another and fragment
-# order is the order of whole serializations ("10" < "2", "1,3;" < "1;").
-# The last component, written without its separator, is forced by the
-# earlier ones, or for hetyei is always "u,n", so the same holds there.
+# Each family states its rule once, as a function of the order n that
+# returns (size, step, mark):
+#
+#   size  the number of components of an object (its data tuple), chosen one
+#         at a time at the steps i = 0 .. size - 1;
+#   step  step(i, state) -> [(component, next state), ...]: the legal
+#         choices at step i after a prefix that left the state, in text
+#         order.  The state is an int, 0 before step 0, and keeps only what
+#         the later choices read;
+#   mark  mark(i, component) -> (k or 0, l or 0): the statistics the choice
+#         fixes.  hetyei has none, since its k is fixed by the redundancy
+#         chain, which runs from the last position down.
+#
+# _walk lists the objects by the rule and _tally counts them by it, so a
+# listing and a table read the same choices.
+#
+# Text order: at every step the choices come in the string order of the
+# text fragment a choice adds, that is the component's text and its
+# separator ("v " for pd2n and dellac, "a,b;" for chain and settuple, "u,v;"
+# for hetyei).  The separator occurs nowhere else in a fragment, so no
+# fragment is a prefix of another and fragment order is the order of whole
+# serializations ("10" < "2", "1,3;" < "1;").  The last component, written
+# without its separator, is forced by the earlier ones, or for hetyei is
+# always "u,n", so the same holds there.
 
 
-def _iter_dumont(n: int) -> Iterator[DumontPermutation]:
+def _dumont_rule(n: int):
+    # the used values as a bit mask.  Position p = i + 1 takes an unused
+    # value v > p when p is odd, < p when p is even, and an odd v > 1 only
+    # once its mate v - 1 is used (normalization): of the bits tested[v], of
+    # v and its mate, exactly needed[v], the mate's, are set
     m = 2 * n + 2
-    last = m - 1
-    word = [0] * m
-    used = [False] * (m + 1)
-    # position p takes a value > p when p is odd, < p when p is even
     candidates = [
         sorted(range(p + 1, m + 1) if p % 2 else range(1, p), key=lambda v: f"{v} ")
         for p in range(1, m + 1)
     ]
+    needed = [1 << v - 1 if v % 2 and v > 1 else 0 for v in range(m + 1)]
+    tested = [1 << v | needed[v] for v in range(m + 1)]
 
-    def extend(pos: int) -> Iterator[DumontPermutation]:
-        for v in candidates[pos]:
-            # placing odd 2i+1 before its mate 2i would break normalization
-            if used[v] or (v % 2 and v > 1 and not used[v - 1]):
-                continue
-            word[pos] = v
-            if pos == last:
-                yield _trusted(DumontPermutation, n, tuple(word))
-            else:
-                used[v] = True
-                yield from extend(pos + 1)
-                used[v] = False
+    def step(i, used):
+        return [(v, used | 1 << v) for v in candidates[i] if used & tested[v] == needed[v]]
 
-    yield from extend(0)
+    def mark(i, v):
+        # k = sigma(1) / 2, l = (sigma(2n+2) - 1) / 2
+        return v // 2 if i == 0 else 0, (v - 1) // 2 if i == m - 1 else 0
+
+    return m, step, mark
 
 
-def _tally_dumont(n: int) -> dict[tuple[int, int], int]:
-    # the enumerator's positions and rule; a state is (k, l, the used values
-    # as a bit mask), k = sigma(1) / 2 and l = (sigma(2n+2) - 1) / 2 read off
-    # as the first and the last position take their value (0 before)
-    m = 2 * n + 2
-    states = {(0, 0, 0): 1}
-    for p in range(1, m + 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (k, l, used), count in states.items():
-            for v in range(p + 1, m + 1) if p % 2 else range(1, p):
-                if used >> v & 1 or (v % 2 and v > 1 and not used >> (v - 1) & 1):
-                    continue
-                key = (v // 2 if p == 1 else k, (v - 1) // 2 if p == m else l, used | 1 << v)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return _joint(states)
-
-
-def _iter_dellac(n: int) -> Iterator[DellacConfiguration]:
+def _dellac_rule(n: int):
+    # the column loads, two bits a column.  Row r = i + 1 takes a column c
+    # with c <= r <= c + n that holds fewer than two dots, and column r - n,
+    # whose band ends at row r, must then hold two
     rows = 2 * n
-    cols = [0] * rows
-    load = [0] * (n + 1)
-    # row i may use the columns c with c <= i <= c + n
     candidates = [
-        sorted(range(max(1, i - n), min(i, n) + 1), key=lambda c: f"{c} ")
-        for i in range(1, rows + 1)
+        sorted(range(max(1, r - n), min(r, n) + 1), key=lambda c: f"{c} ")
+        for r in range(1, rows + 1)
     ]
 
-    def extend(i: int) -> Iterator[DellacConfiguration]:
-        closing = i - n  # column whose band ends at row i
-        for c in candidates[i - 1]:
-            if load[c] == 2:
+    def step(i, loads):
+        closing = 2 * (i + 1 - n)  # the shift of the loads of column r - n
+        out = []
+        for c in candidates[i]:
+            if loads >> 2 * c & 3 == 2:
                 continue
-            load[c] += 1
-            cols[i - 1] = c
-            if closing < 1 or load[closing] == 2:
-                if i == rows:
-                    yield _trusted(DellacConfiguration, n, tuple(cols))
-                else:
-                    yield from extend(i + 1)
-            load[c] -= 1
+            new = loads + (1 << 2 * c)
+            if closing <= 0 or new >> closing & 3 == 2:
+                out.append((c, new))
+        return out
 
-    yield from extend(1)
+    def mark(i, c):
+        # k = c_{n+1}, l = c_n
+        return c if i == n else 0, c if i == n - 1 else 0
 
-
-def _tally_dellac(n: int) -> dict[tuple[int, int], int]:
-    # the enumerator's rows and rule; a state is (k, l, the column loads, two
-    # bits a column), k = c_{n+1} and l = c_n once their rows are placed
-    states = {(0, 0, 0): 1}
-    for i in range(1, 2 * n + 1):
-        closing = i - n
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (k, l, loads), count in states.items():
-            for c in range(max(1, i - n), min(i, n) + 1):
-                if loads >> 2 * c & 3 == 2:
-                    continue
-                new = loads + (1 << 2 * c)
-                if closing >= 1 and new >> 2 * closing & 3 != 2:
-                    continue
-                key = (c if i == n + 1 else k, c if i == n else l, new)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return _joint(states)
+    return rows, step, mark
 
 
 def _subset_text(part: tuple[int, ...]) -> str:
     return ",".join(map(str, part)) + ";"
 
 
-def _iter_chains(n: int) -> Iterator[FeiginChain]:
-    acc: list[tuple[int, ...]] = [()]
+def _chain_rule(n: int):
+    # I_{i-1} as a bit mask, and the rule of the module docstring after the
+    # empty I_0
+    values = range(1, n + 1)
 
-    def extend(i: int) -> Iterator[FeiginChain]:
-        # I_i is I_{i-1} without i plus i - #base values from outside that
-        # base (i among them).  Each tuple is built from a list: tuple() over
-        # a generator over-allocates and shrinks it, and the shrunk blocks
-        # pile up in CPython's free lists (about 200 KiB at n = 6).
-        base = [v for v in acc[-1] if v != i]
-        outside = [v for v in range(1, n + 1) if v not in base]
-        choices = [tuple(sorted(base + list(extra)))
-                   for extra in combinations(outside, i - len(base))]
-        for part in sorted(choices, key=_subset_text):
-            acc.append(part)
-            if i == n:
-                yield _trusted(FeiginChain, n, tuple(acc))
-            else:
-                yield from extend(i + 1)
-            acc.pop()
+    def step(i, prev):
+        if not i:
+            return [((), 0)]
+        base = prev & ~(1 << i)
+        inside = [v for v in values if base >> v & 1]
+        outside = [v for v in values if not base >> v & 1]
+        # each tuple is built from a list: tuple() over a generator
+        # over-allocates and shrinks it, and the shrunk blocks pile up in
+        # CPython's free lists
+        parts = [tuple(sorted(inside + list(extra)))
+                 for extra in combinations(outside, i - len(inside))]
+        parts.sort(key=_subset_text)
+        return [(part, sum([1 << v for v in part])) for part in parts]
 
-    yield from extend(1)
+    def mark(i, part):
+        # the first indices whose sets hold 1 and n
+        return i if 1 in part else 0, i if n in part else 0
 
-
-def _tally_chains(n: int) -> dict[tuple[int, int], int]:
-    # the enumerator's steps; a state is (k, l, I_{i-1} as a bit mask), k and
-    # l the first indices whose sets hold 1 and n (0 before)
-    states = {(0, 0, 0): 1}
-    for i in range(1, n + 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (k, l, prev), count in states.items():
-            free = [1 << v for v in range(1, n + 1) if not prev >> v & 1]
-            parts = [prev | x for x in free]
-            if prev >> i & 1:
-                base = prev ^ 1 << i
-                parts.extend(base | x | y for x, y in combinations(free, 2))
-            for part in parts:
-                key = (k or i * (part >> 1 & 1), l or i * (part >> n & 1), part)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return _joint(states)
+    return n + 1, step, mark
 
 
-def _iter_settuples(n: int) -> Iterator[SetTuple]:
-    # mask is the one-bit-a-value state of the module docstring; every step
-    # tries the same 1- and 2-subsets of [n], in text order
+def _settuple_rule(n: int):
+    # the one-bit-a-value mask of the module docstring, which holds the
+    # state since a value never has more than one occurrence to come, nor
+    # more than one before its own step.  Every step tries the same 1- and
+    # 2-subsets of [n], in text order, each as (part, its bits, whether it is
+    # a pair)
     parts = sorted(
-        ((part, sum(1 << v for v in part))
+        ((part, sum(1 << v for v in part), len(part) == 2)
          for size in (1, 2) for part in combinations(range(1, n + 1), size)),
         key=lambda entry: _subset_text(entry[0]),
     )
     values = (1 << n + 1) - 2
-    acc: list[tuple[int, ...]] = []
 
-    def extend(j: int, mask: int) -> Iterator[SetTuple]:
+    def step(i, mask):
+        j = i + 1
         earlier = (1 << j) - 2  # the bits of the values 1..j-1
         # v < j while it has an occurrence to come, v >= j until it has one
         usable = mask & earlier | ~mask & values & ~earlier
         seen = mask >> j & 1
         low = earlier | 1 << j
-        for part, chosen in parts:
+        out = []
+        for part, chosen, pair in parts:
             # a pair S_j needs one occurrence of j before j, which then is
             # not usable, and one after
-            if chosen & ~usable or len(part) == 2 and not seen:
+            if chosen & ~usable or pair and not seen:
                 continue
-            to_come = len(part) == 2 if seen else chosen != 1 << j
+            # a chosen v < j has no occurrence left to come, a chosen v > j
+            # has occurred; j itself has one to come after a pair, or after
+            # a singleton other than {j} when it has not occurred
+            to_come = pair if seen else chosen != 1 << j
             new = (mask ^ chosen) & ~(1 << j) | to_come << j
             # the occurrences to come, plus one for each v > j not yet
             # seen, fit the 2 (n - j) places left
-            if (new & low).bit_count() + n - j - (new >> j + 1).bit_count() > 2 * (n - j):
-                continue
-            acc.append(part)
-            if j == n:
-                yield _trusted(SetTuple, n, tuple(acc))
-            else:
-                yield from extend(j + 1, new)
-            acc.pop()
+            if (new & low).bit_count() + n - j - (new >> j + 1).bit_count() <= 2 * (n - j):
+                out.append((part, new))
+        return out
 
-    yield from extend(1, 0)
+    def mark(i, part):
+        # the steps whose sets hold 1 and n
+        return i + 1 if 1 in part else 0, i + 1 if n in part else 0
 
-
-def _tally_settuples(n: int) -> dict[tuple[int, int], int]:
-    # the enumerator's steps, rule and bound, on its mask: one bit a value
-    # holds the state, since a value never has more than one occurrence
-    # to come, nor more than one before its own step.  A state is (k, l,
-    # that mask), k and l the steps whose sets hold 1 and n (0 before).
-    states = {(0, 0, 0): 1}
-    for j in range(1, n + 1):
-        low = (1 << j + 1) - 2  # the bits of the values 1..j
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (k, l, mask), count in states.items():
-            seen = mask >> j & 1
-            # v < j while it has an occurrence to come, v >= j until it has one
-            usable = [1 << v for v in range(1, n + 1) if mask >> v & 1 == (v < j)]
-            choices = list(usable)
-            if seen:  # j is not usable, so no pair holds it
-                choices.extend(x | y for x, y in combinations(usable, 2))
-            for chosen in choices:
-                # a chosen v < j has no occurrence left to come, a chosen
-                # v > j has occurred; j itself has one to come after a pair,
-                # or after a singleton other than {j} when it has not occurred
-                to_come = chosen & chosen - 1 != 0 if seen else chosen != 1 << j
-                new = (mask ^ chosen) & ~(1 << j) | to_come << j
-                # the occurrences to come, plus one for each v > j not
-                # yet seen, fit the 2 (n - j) places left
-                need = (new & low).bit_count() + n - j - (new & ~low).bit_count()
-                if need > 2 * (n - j):
-                    continue
-                key = (k or j * (chosen >> 1 & 1), l or j * (chosen >> n & 1), new)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return _joint(states)
+    return n, step, mark
 
 
-def _iter_hetyei(n: int) -> Iterator[HetyeiTuple]:
-    pairs: list[tuple[int, int]] = [(0, 0)] * n
+def _hetyei_rule(n: int):
+    # the covered values as a bit mask, bit x - 1 for the value x.  The
+    # positions after l = i + 1 hold 2 (n - l) entries and position p may
+    # take any value <= p, so by Hall's condition a prefix extends to a full
+    # tuple exactly when at most that many values are still uncovered
     candidates = [
-        sorted(((u, v) for u in range(1, l + 1) for v in range(u, l + 1)),
-               key=lambda p: f"{p[0]},{p[1]};")
+        sorted((((u, v), 1 << u - 1 | 1 << v - 1)
+                for u in range(1, l + 1) for v in range(u, l + 1)),
+               key=lambda entry: "%d,%d;" % entry[0])
         for l in range(1, n + 1)
     ]
 
-    def extend(l: int, covered: int) -> Iterator[HetyeiTuple]:
-        # positions after l hold 2 (n - l) entries and position p may take
-        # any value <= p, so by Hall's condition a prefix extends to a full
-        # tuple exactly when at most that many values are still uncovered
-        spare = 2 * (n - l)
-        for pair in candidates[l - 1]:
-            u, v = pair
-            new = covered | 1 << (u - 1) | 1 << (v - 1)
-            if n - new.bit_count() > spare:
-                continue
-            pairs[l - 1] = pair
-            if l == n:
-                yield _trusted(HetyeiTuple, n, tuple(pairs))
-            else:
-                yield from extend(l + 1, new)
+    def step(i, covered):
+        spare = 2 * (n - 1 - i)
+        return [(pair, new) for pair, bits in candidates[i]
+                if n - (new := covered | bits).bit_count() <= spare]
 
-    yield from extend(1, 0)
+    return n, step, None
+
+
+_RULES = {
+    "pd2n": _dumont_rule,
+    "dellac": _dellac_rule,
+    "chain": _chain_rule,
+    "settuple": _settuple_rule,
+    "hetyei": _hetyei_rule,
+}
+
+
+# the number of (step, state) pairs whose choices a walk remembers, least
+# recently used dropped first.  Sized for pd2n, whose walk meets the most
+# states: with 256 / 384 / 512 pairs its walk peaks at 115 / 199 / 245 KiB
+# of tracemalloc at order 6, and computes 1.9 / 1.2 / 0.8 M of its 21.6 M
+# step calls at order 8.
+_STEP_MEMO_SIZE = 384
+
+
+def _walk(model: str, n: int) -> Iterator:
+    """The order-n objects of the family in text order: a depth-first walk
+    of its rule, one generator frame a step, that yields at the last step."""
+    cls = _MODEL_CLASSES[model]
+    size, step, _ = _RULES[model](n)
+    children = lru_cache(maxsize=_STEP_MEMO_SIZE)(step)
+    acc = [None] * size
+    last = size - 1
+
+    def extend(i: int, choices: list) -> Iterator:
+        for component, new in choices:
+            acc[i] = component
+            if i == last:
+                yield _trusted(cls, n, tuple(acc))
+            elif below := children(i + 1, new):  # no frame for a dead end
+                yield from extend(i + 1, below)
+
+    yield from extend(0, children(0, 0))
+
+
+def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
+    """The (k, l) table of the family: a forward dynamic programme over its
+    rule, whose state after step i is (k, l, the rule's state), k and l 0
+    until a choice marks them."""
+    size, step, mark = _RULES[model](n)
+    states = {(0, 0, 0): 1}
+    for i in range(size):
+        # the marked choices of each rule state, computed once a step
+        children: dict[int, list[tuple[int, int, int]]] = {}
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (k, l, state), count in states.items():
+            choices = children.get(state)
+            if choices is None:
+                choices = children[state] = [(*mark(i, c), new) for c, new in step(i, state)]
+            for mk, ml, new in choices:
+                key = (k or mk, l or ml, new)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return _joint(states)
 
 
 def _tally_hetyei(n: int) -> dict[tuple[int, int], int]:
@@ -999,22 +989,11 @@ def _joint(states: dict) -> dict[tuple[int, int], int]:
     return dict(sorted(table.items()))
 
 
-_ENUMERATORS = {
-    "pd2n": _iter_dumont,
-    "dellac": _iter_dellac,
-    "chain": _iter_chains,
-    "settuple": _iter_settuples,
-    "hetyei": _iter_hetyei,
-}
-
-
-_TALLIES = {
-    "pd2n": _tally_dumont,
-    "dellac": _tally_dellac,
-    "chain": _tally_chains,
-    "settuple": _tally_settuples,
-    "hetyei": _tally_hetyei,
-}
+# the dispatch on the family; _walk and _tally read _RULES at each call, so
+# a replaced rule reaches both
+_ENUMERATORS = {model: partial(_walk, model) for model in _RULES}
+_TALLIES = {model: partial(_tally, model) for model in _RULES}
+_TALLIES["hetyei"] = _tally_hetyei
 
 
 def _check_call(model: str, n: int, limit: int | None) -> None:
@@ -1029,8 +1008,9 @@ def enumerate_model(model: str, n: int,
                     limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Iterator:
     """All order-n objects of the named family, as a lazy iterator in canonical order.
 
-    Canonical order is lexicographic on the serialization string; the
-    generators emit it directly, so the objects stream in bounded memory.
+    Canonical order is lexicographic on the serialization string; the walk
+    of the family's rule emits it directly, so the objects stream in
+    bounded memory.
     The model, the order and the guard are checked at the call, before any
     object is built: orders beyond `limit` raise ResourceGuardError (pass a
     larger limit, or None, to override).
@@ -1043,9 +1023,9 @@ def statistics_table(model: str, n: int,
                      limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> dict[tuple[int, int], int]:
     """The joint table {(k, l): number of order-n objects} of the named family.
 
-    Tallied by a forward dynamic programme over the enumerator's choices,
-    which keeps only what constrains the later choices, plus k and l once
-    fixed, so no object is built.  Equal to the Counter of statistics over
+    Tallied by a dynamic programme over the family's rule (for hetyei, from
+    the last position down), which keeps only what constrains the later
+    choices, plus k and l once fixed, so no object is built.  Equal to the Counter of statistics over
     enumerate_model(model, n), keys ascending.  The model, the order and
     the guard are checked at the call as enumerate_model checks them.
 

@@ -10,13 +10,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import genocchi
-from genocchi import models, triangles
+from genocchi import cli, models, triangles
 from genocchi.cli import main
 
 
@@ -417,6 +418,35 @@ def test_running_out_of_memory_exits_2(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_running_out_of_memory_frees_the_failed_frames_before_printing(capsys, monkeypatch):
+    # a real MemoryError can strike again while the first one unwinds; the
+    # frames both tracebacks hold keep the memory that ran out
+    class Held:
+        pass
+
+    refs = []
+
+    def tally(n):
+        held = Held()
+        refs.append(weakref.ref(held))
+        try:
+            raise MemoryError
+        except MemoryError:
+            raise MemoryError from None
+
+    freed = []
+
+    def printed(*args, **kwargs):
+        freed.append(refs[0]() is None)
+        print(*args, **kwargs)
+
+    monkeypatch.setitem(models._TALLIES, "dellac", tally)
+    monkeypatch.setattr(cli, "print", printed, raising=False)
+    code, out, err = run(capsys, "count", "--model", "dellac", "--n", "3")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert freed == [True]
 
 
 def test_usage_errors_exit_2(capsys):

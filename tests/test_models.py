@@ -713,6 +713,32 @@ def test_statistics_table_counts_the_enumerated_objects(model, n, objects):
     assert models.statistics_table(model, n) == expected
 
 
+@pytest.mark.parametrize("model", ["pd2n", "dellac", "chain", "settuple"])
+def test_listing_and_table_read_one_rule(monkeypatch, model):
+    # a rule that drops the last choice wherever step 2 offers several
+    # changes the listing and the table alike (hetyei's table is tallied
+    # from the last position down, apart from its rule)
+    n = 5
+    table = models.statistics_table(model, n)
+    rule = models._RULES[model]
+
+    def fewer(n):
+        size, step, mark = rule(n)
+
+        def step_without_one(i, state):
+            choices = step(i, state)
+            return choices[:-1] if i == 2 and len(choices) > 1 else choices
+
+        return size, step_without_one, mark
+
+    monkeypatch.setitem(models._RULES, model, fewer)
+    objects = list(models.enumerate_model(model, n))
+    changed = models.statistics_table(model, n)
+    assert 0 < len(objects) < triangles.normalized_genocchi(n)
+    assert changed != table
+    assert changed == Counter(models.statistics(o) for o in objects)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [8, 9])
 def test_statistics_tables_beyond_enumeration(n):
