@@ -214,7 +214,10 @@ def _cmd_map(args) -> int:
               file=sys.stderr)
         return 2
     text = args.input if args.input is not None else _read_stdin()
-    arg = models._word(text) if model == "permutation" else models.parse(model, text)
+    if model == "permutation":  # a word, read as pd2n and dellac words are
+        arg = models._parts(text, " ", models._number)
+    else:
+        arg = models.parse(model, text)
     # looked up at each call, so a replaced map in maps is the one applied
     out = models.serialize(getattr(maps, name)(arg))
     if args.format == "csv":

@@ -84,16 +84,17 @@ their objects through one trusted constructor that skips the check.  The
 verifier checks each map image by its membership in the target family's
 enumerated cell, whose every object it has validated through parse.
 
-parse converts each ";"-separated part of a chain or settuple text through
-a memo of bounded size (_PART_MEMO_SIZE part texts, least recently used
-dropped first), since the parts repeat: at order n each one is among the
-2^n subsets of [n].  The memo keeps only the parts it accepts; a refused
-part is read again, piecewise, to name the fault.
+parse reads every text through one path: it splits the text at its
+separator (" " for a word, ";" otherwise) and reads each piece through the
+one reader of its grammar unit, a number, a subset or a pair.  Each reader
+remembers the pieces it accepts in a memo of bounded size (_PART_MEMO_SIZE
+pieces, least recently used dropped first), since the pieces repeat: at
+order n a subset is one of the 2^n subsets of [n].  A refused piece raises
+ModelSyntaxError, which no memo keeps, and the message names the whole text.
 """
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache, partial
 from itertools import combinations
 from operator import gt, itemgetter, lt
@@ -254,12 +255,12 @@ class DumontPermutation(ModelObject):
 
     @classmethod
     def from_text(cls, text: str) -> "DumontPermutation":
-        values = _word(text)
-        if len(values) < 4 or len(values) % 2:
+        word = _parts(text, " ", _number)
+        if len(word) < 4 or len(word) % 2:
             raise ModelSyntaxError(
-                f"word length must be an even number >= 4, got {len(values)}"
+                f"word length must be an even number >= 4, got {len(word)} in {text!r}"
             )
-        return cls(len(values) // 2 - 1, tuple(values))
+        return cls(len(word) // 2 - 1, word)
 
 
 class DellacConfiguration(ModelObject):
@@ -322,12 +323,12 @@ class DellacConfiguration(ModelObject):
 
     @classmethod
     def from_text(cls, text: str) -> "DellacConfiguration":
-        values = _word(text)
-        if len(values) < 2 or len(values) % 2:
+        cols = _parts(text, " ", _number)
+        if len(cols) < 2 or len(cols) % 2:
             raise ModelSyntaxError(
-                f"row count must be an even number >= 2, got {len(values)}"
+                f"row count must be an even number >= 2, got {len(cols)} in {text!r}"
             )
-        return cls(len(values) // 2, tuple(values))
+        return cls(len(cols) // 2, cols)
 
 
 class FeiginChain(ModelObject):
@@ -378,10 +379,10 @@ class FeiginChain(ModelObject):
 
     @classmethod
     def from_text(cls, text: str) -> "FeiginChain":
-        parts = text.split(";")
-        if len(parts) < 2:
-            raise ModelSyntaxError("chain needs at least subsets I_0 and I_1")
-        return cls(len(parts) - 1, _subsets(parts, text))
+        subsets = _parts(text, ";", _subset)
+        if len(subsets) < 2:
+            raise ModelSyntaxError(f"chain needs at least subsets I_0 and I_1 in {text!r}")
+        return cls(len(subsets) - 1, subsets)
 
 
 class SetTuple(ModelObject):
@@ -477,8 +478,8 @@ class SetTuple(ModelObject):
 
     @classmethod
     def from_text(cls, text: str) -> "SetTuple":
-        parts = text.split(";")
-        return cls(len(parts), _subsets(parts, text))
+        sets = _parts(text, ";", _subset)
+        return cls(len(sets), sets)
 
 
 class HetyeiTuple(ModelObject):
@@ -531,99 +532,62 @@ class HetyeiTuple(ModelObject):
 
     @classmethod
     def from_text(cls, text: str) -> "HetyeiTuple":
-        if _PAIRS.fullmatch(text):
-            try:
-                values = list(map(int, text.replace(";", ",").split(",")))
-            except ValueError:
-                pass  # a number too long for int(); _int names it below
-            else:
-                us, vs = values[0::2], values[1::2]
-                if not any(map(gt, us, vs)):
-                    return cls(len(us), tuple(zip(us, vs)))
-        pairs = []
-        for part in text.split(";"):
-            pieces = part.split(",")
-            if len(pieces) != 2:
-                raise ModelSyntaxError(f"pair {part!r} in {text!r} is not of the form u,v")
-            u, v = (_int(p, text) for p in pieces)
-            if u > v:
-                raise ModelSyntaxError(f"pair {part!r} must be written with u <= v")
-            pairs.append((u, v))
-        return cls(len(pairs), tuple(pairs))
+        pairs = _parts(text, ";", _pair)
+        return cls(len(pairs), pairs)
 
 
-# The canonical grammar.  Each from_text first matches its text against one
-# of these (a chain or settuple text each ";"-separated part against _PART)
-# and converts all numbers at once; on any text the fast path does not
-# take, the piecewise rules below (_int, _subset) run and raise the error
-# that names the first offending piece.
-_NUMBER = "[1-9][0-9]*"  # [0-9], not \d, which also matches non-ASCII digits
-_SUBSET = f"(?:{_NUMBER}(?:,{_NUMBER})*)?"
-_WORD = re.compile(f"{_NUMBER}(?: {_NUMBER})*")
-_PART = re.compile(_SUBSET)
-_PAIRS = re.compile(f"{_NUMBER},{_NUMBER}(?:;{_NUMBER},{_NUMBER})*")
+# The canonical grammar, one reader a unit: _number, _subset and _pair.
+# _parts splits a text at its separator and reads each piece through one of
+# them.  lru_cache stores no raised exception, so a reader's memo holds only
+# the pieces it accepted, and a refused piece is refused again alike.
 
-
-def _word(text: str) -> list[int]:
-    """The numbers of a space-separated word."""
-    pieces = text.split(" ")
-    if _WORD.fullmatch(text):
-        try:
-            return list(map(int, pieces))
-        except ValueError:
-            pass  # a number too long for int(); _int names it below
-    return _ints(pieces, text)
-
-
-def _subsets(parts: list[str], text: str) -> tuple[tuple[int, ...], ...]:
-    """The subsets written in parts, the ";"-separated pieces of text."""
-    try:
-        return tuple(map(_ascending, parts))
-    except ValueError:
-        return tuple(_subset(p, text) for p in parts)
-
-
-# the number of part texts _ascending remembers: every subset of [n] up to
+# the number of pieces each reader remembers: every subset of [n] up to
 # order 12
 _PART_MEMO_SIZE = 4096
 
 
+def _parts(text: str, sep: str, read) -> tuple:
+    """The pieces of text between the separators sep, each read by read;
+    a refused piece raises ModelSyntaxError naming the whole text."""
+    try:
+        return tuple(map(read, text.split(sep)))
+    except ModelSyntaxError as exc:
+        raise ModelSyntaxError(f"{exc} in {text!r}") from None
+
+
 @lru_cache(maxsize=_PART_MEMO_SIZE)
-def _ascending(part: str) -> tuple[int, ...]:
-    """The values of one subset text of the canonical grammar, which lists
-    them strictly ascending.  Any other text raises ValueError, which the
-    memo does not keep, and _subsets then lets _subset name the fault."""
-    if not _PART.fullmatch(part):
-        raise ValueError(part)
-    values = tuple(map(int, part.split(","))) if part else ()  # int() may refuse a long number
-    if not all(map(lt, values, values[1:])):
-        raise ValueError(part)
-    return values
-
-
-def _int(piece: str, text: str) -> int:
-    """A number of the canonical grammar: ASCII [1-9][0-9]*."""
+def _number(piece: str) -> int:
+    """A number: ASCII [1-9][0-9]*."""
+    # isascii too: isdigit alone also accepts non-ASCII digits
     if piece.isascii() and piece.isdigit() and piece[0] != "0":
         try:
             return int(piece)
         except ValueError:
             pass  # more digits than int() converts, so far too large for any entry
-    raise ModelSyntaxError(
-        f"expected a positive integer without leading zeros, got {piece!r} in {text!r}"
-    )
+    raise ModelSyntaxError(f"expected a positive integer without leading zeros, got {piece!r}")
 
 
-def _ints(pieces: list[str], text: str) -> list[int]:
-    return [_int(p, text) for p in pieces]
-
-
-def _subset(part: str, text: str) -> tuple[int, ...]:
-    if part == "":
+@lru_cache(maxsize=_PART_MEMO_SIZE)
+def _subset(piece: str) -> tuple[int, ...]:
+    """A subset: numbers joined by ",", strictly ascending; "" is the empty set."""
+    if not piece:
         return ()
-    values = _ints(part.split(","), text)
-    if values != sorted(set(values)):
-        raise ModelSyntaxError(f"subset {part!r} must list distinct ascending values")
-    return tuple(values)
+    values = tuple(map(_number, piece.split(",")))
+    if not all(map(lt, values, values[1:])):
+        raise ModelSyntaxError(f"subset {piece!r} must list distinct ascending values")
+    return values
+
+
+@lru_cache(maxsize=_PART_MEMO_SIZE)
+def _pair(piece: str) -> tuple[int, int]:
+    """A pair: "u,v" with u <= v."""
+    numbers = piece.split(",")
+    if len(numbers) != 2:
+        raise ModelSyntaxError(f"pair {piece!r} is not of the form u,v")
+    u, v = map(_number, numbers)
+    if u > v:
+        raise ModelSyntaxError(f"pair {piece!r} must be written with u <= v")
+    return u, v
 
 
 # ---------------------------------------------------------------------------

@@ -449,14 +449,21 @@ def test_syntax_errors(model, text):
 
 
 def test_subset_memo_keeps_no_errors():
-    # the parts of every order-4 chain text pass through the memo in between
-    with pytest.raises(ModelSyntaxError) as before:
-        models.parse("chain", ";2;2,1")
-    for chain in models.enumerate_model("chain", 4):
-        models.parse("chain", models.serialize(chain))
-    with pytest.raises(ModelSyntaxError) as after:
-        models.parse("chain", ";2;2,1")
-    assert str(after.value) == str(before.value)
+    # a bad part, word and pair, each refused again alike once the parts of
+    # every order-4 text have passed through the memos
+    bad = [("chain", ";2;2,1"), ("pd2n", "2 1 06 3"), ("hetyei", "1,1;2,1")]
+    before = []
+    for model, text in bad:
+        with pytest.raises(ModelSyntaxError) as error:
+            models.parse(model, text)
+        before.append(str(error.value))
+    for model in MODEL_NAMES:
+        for obj in models.enumerate_model(model, 4):
+            models.parse(model, models.serialize(obj))
+    for (model, text), message in zip(bad, before):
+        with pytest.raises(ModelSyntaxError) as error:
+            models.parse(model, text)
+        assert str(error.value) == message
     # a refused part names the text it was read from, each time
     for text in (";1;01,2", "01;1"):
         with pytest.raises(ModelSyntaxError, match=re.escape(repr(text))):
@@ -465,9 +472,30 @@ def test_subset_memo_keeps_no_errors():
 
 def test_subset_memo_is_bounded():
     for i in range(1, models._PART_MEMO_SIZE + 10):
-        assert models._subsets([str(i)], str(i)) == ((i,),)
-    info = models._ascending.cache_info()
-    assert info.maxsize == info.currsize == models._PART_MEMO_SIZE
+        assert models._parts(str(i), ";", models._subset) == ((i,),)
+        assert models._parts(f"{i},{i}", ";", models._pair) == ((i, i),)
+    for read in (models._number, models._subset, models._pair):
+        info = read.cache_info()
+        assert info.maxsize == info.currsize == models._PART_MEMO_SIZE
+
+
+@pytest.mark.parametrize(
+    "model,text",
+    [
+        ("pd2n", "2 1 06 3"),  # a bad number in a word
+        ("chain", ";1;1,x"),  # ... in a subset
+        ("hetyei", "1,1;1,²"),  # ... in a pair
+        ("chain", ";3;3,1"),  # subset order
+        ("hetyei", "1,1;1,2,2"),  # pair arity
+        ("hetyei", "1,1;2,1"),  # pair order
+        ("pd2n", "2 1 4"),  # word parity
+        ("dellac", "1 2 3"),
+        ("chain", "3"),  # a chain of one part
+    ],
+)
+def test_syntax_errors_name_the_text(model, text):
+    with pytest.raises(ModelSyntaxError, match=re.escape(repr(text))):
+        models.parse(model, text)
 
 
 @pytest.mark.parametrize(
