@@ -43,6 +43,7 @@ from .models import (
     hetyei_pair_count,
     k_statistic,
     l_statistic,
+    listing,
     parse,
     redundancy_chain,
     redundant_positions,
@@ -80,6 +81,7 @@ __all__ = [
     "hetyei_pair_count",
     "k_statistic",
     "l_statistic",
+    "listing",
     "parse",
     "redundancy_chain",
     "redundant_positions",

@@ -149,29 +149,25 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    objs = models.enumerate_model(args.model, args.n, args.guard)
+    # the walk writes each object's text beside it
+    pairs = models.listing(args.model, args.n, args.guard)
     # the first object is built before any output, so an order too deep for
     # the recursion limit leaves stdout empty in every format
-    objs = chain((next(objs),), objs)
-    if args.format == "csv":
-        if args.stats:
-            rows = ((models.serialize(o), *models.statistics(o)) for o in objs)
+    pairs = chain((next(pairs),), pairs)
+    if args.stats:
+        rows = ((text, *models.statistics(o)) for text, o in pairs)
+        if args.format == "csv":
             _write_csv(("serialization", "k", "l"), rows)
+        elif args.format == "json":
+            _dump_json_list({"serialization": text, "k": k, "l": l} for text, k, l in rows)
         else:
-            _write_csv(("serialization",), ((models.serialize(o),) for o in objs))
+            _write_lines(f"{text}\tk={k} l={l}\n" for text, k, l in rows)
+    elif args.format == "csv":
+        _write_csv(("serialization",), ((text,) for text, _ in pairs))
     elif args.format == "json":
-        if args.stats:
-            _dump_json_list(
-                {"serialization": models.serialize(o), "k": k, "l": l}
-                for o in objs for k, l in (models.statistics(o),)
-            )
-        else:
-            _dump_json_list(models.serialize(o) for o in objs)
-    elif args.stats:
-        _write_lines(f"{models.serialize(o)}\tk={k} l={l}\n"
-                     for o in objs for k, l in (models.statistics(o),))
+        _dump_json_list(text for text, _ in pairs)
     else:
-        _write_lines(f"{models.serialize(o)}\n" for o in objs)
+        _write_lines(f"{text}\n" for text, _ in pairs)
     return 0
 
 

@@ -47,8 +47,9 @@ Canonical serializations (ASCII, no trailing whitespace):
 
 Each family states its rule once, as a step function: given a step i and a
 state that keeps only what the later choices read, it lists the legal
-choices of the i-th component in text order, each with the state it
-leaves.  The state is the used values for pd2n, the column loads for
+choices of the i-th component in text order, each after its fragment (the
+text it adds: the component's text and the separator) and with the state
+it leaves.  The state is the used values for pd2n, the column loads for
 dellac, I_{i-1} for chain, the covered values for hetyei, and for settuple
 one bit a value: before step j, bit v says for v < j that v has one
 occurrence still to come, and for v >= j that v has occurred.  The chain
@@ -56,13 +57,16 @@ rule is its one choice: I_i is I_{i-1} without i plus i - #(I_{i-1} minus
 {i}) values from outside that base.
 
 Enumeration walks the rule depth first and remembers the choices of the
-(step, state) pairs it met last, in a memo of bounded size
-(_STEP_MEMO_SIZE pairs, least recently used dropped first).  It is a lazy
-iterator that emits each object exactly once, ordered lexicographically by
-its canonical serialization, in memory that does not grow with the count.
-Orders beyond a resource guard (default n <= 8, overridable) are refused at
-the call, before any object is built.  Enumerators are pure, so concurrent
-or repeated runs agree.
+(step, state) pairs it met last, fragments included, in a memo of bounded
+size (_STEP_MEMO_SIZE pairs, least recently used dropped first).  The walk
+carries the text of its prefix down, so listing yields each object exactly
+once as the pair (its canonical serialization, the object), written from
+the fragments without serializing the object again; enumerate_model yields
+the objects of the same walk.  Both are lazy iterators, ordered
+lexicographically by the serialization, in memory that does not grow with
+the count.  Orders beyond a resource guard (default n <= 8, overridable)
+are refused at the call, before any object is built.  Enumerators are
+pure, so concurrent or repeated runs agree.
 
 statistics_table gives the joint (k, l) table of a family without building
 its objects.  For pd2n, dellac, chain and settuple it is a forward dynamic
@@ -79,6 +83,9 @@ Invariants are validated at the boundary, once: the public constructor
 shared by the five classes (DumontPermutation(n, word), ...,
 HetyeiTuple(n, pairs)) and parse check every defining condition and raise
 the first violation, as does maps.embed_permutation for its word.  The
+constructor also takes only an int order and data of exact types, a tuple
+of ints or of tuples of ints, so no bool, float or list, which equals an
+int or a tuple but does not write as one, is built into an object.  The
 enumerators and the maps, whose outputs are valid by construction, build
 their objects through one trusted constructor that skips the check.  The
 verifier checks each map image by its membership in the target family's
@@ -91,12 +98,16 @@ remembers the pieces it accepts in a memo of bounded size (_PART_MEMO_SIZE
 pieces, least recently used dropped first), since the pieces repeat: at
 order n a subset is one of the 2^n subsets of [n].  A refused piece raises
 ModelSyntaxError, which no memo keeps, and the message names the whole text.
+The writers mirror the readers: serialize joins, at the family's separator,
+the texts of the components, each written by the one writer of its unit,
+which remembers them in a memo of the same bounded size; the walk's
+fragments come from the same writers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from operator import gt, itemgetter, lt
 from typing import Iterator
 
@@ -116,6 +127,7 @@ __all__ = [
     "parse",
     "serialize",
     "enumerate_model",
+    "listing",
     "statistics_table",
     "marginal",
     "check_enumeration_guard",
@@ -150,399 +162,23 @@ class ResourceGuardError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# object types
-
-_new_tuple = tuple.__new__
-
-
-class ModelObject(tuple):
-    """Base of the five families: the immutable tuple (tag, n, data)."""
-
-    __slots__ = ()
-    _tag: int
-    _data: str  # the name of the data attribute
-
-    n = property(itemgetter(1), doc="the order")
-
-    def __new__(cls, n, data):
-        """The object (n, data) of family cls, checked by the family's
-        __post_init__, looked up on the class at each call."""
-        obj = _new_tuple(cls, (cls._tag, n, data))
-        obj.__post_init__()
-        return obj
-
-    def __getnewargs__(self):
-        return self[1:]  # (n, data): copies and unpickled objects are validated
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self[1]!r}, {self._data}={self[2]!r})"
-
-
-def _trusted(cls, n, data):
-    """The object (n, data) of family cls, built without validation.
-
-    For the enumerators and the maps only, whose outputs are valid by
-    construction; every other caller goes through the public constructor.
-    """
-    return _new_tuple(cls, (cls._tag, n, data))
-
-
-class DumontPermutation(ModelObject):
-    """Normalized Dumont permutation of the second kind, as a word of length 2n+2."""
-
-    __slots__ = ()
-    _tag, _data = 0, "word"
-    word = property(itemgetter(2), doc="sigma(1) .. sigma(2n+2)")
-
-    def __post_init__(self) -> None:
-        _, n, word = self
-        if n < 1:
-            raise ModelInvariantError(f"order must be >= 1, got {n}")
-        m = 2 * n + 2
-        if len(word) != m:
-            raise ModelInvariantError(f"word length must be {m} for order {n}, got {len(word)}")
-        if sorted(word) != list(range(1, m + 1)):
-            raise ModelInvariantError(f"word is not a permutation of 1..{m}")
-        # sigma(p) > p at the odd positions p, sigma(p) < p at the even ones
-        if not (all(map(gt, word[0::2], range(1, m, 2)))
-                and all(map(lt, word[1::2], range(2, m + 1, 2)))):
-            for p, v in enumerate(word, 1):
-                if p % 2 and v <= p:
-                    raise ModelInvariantError(
-                        f"excedance condition fails: sigma({p}) = {v} is not > {p}"
-                    )
-                if not p % 2 and v >= p:
-                    raise ModelInvariantError(
-                        f"deficiency condition fails: sigma({p}) = {v} is not < {p}"
-                    )
-        pos = [0] * (m + 1)  # pos[v]: the position of value v
-        for p, v in enumerate(word):
-            pos[v] = p
-        for i in range(1, n + 1):
-            if pos[2 * i] > pos[2 * i + 1]:
-                raise ModelInvariantError(
-                    f"normalization fails: value {2 * i} appears after value {2 * i + 1}"
-                )
-
-    def serialize(self) -> str:
-        return " ".join([str(v) for v in self.word])
-
-    def _k(self) -> int:
-        return self.word[0] // 2
-
-    def _l(self) -> int:
-        return (self.word[-1] - 1) // 2
-
-    def _t(self) -> DumontPermutation:
-        k, l = k_statistic(self), l_statistic(self)
-        if k == l:
-            return self
-        cycle = {2 * k: 2 * l, 2 * l: 2 * l + 1, 2 * l + 1: 2 * k + 1, 2 * k + 1: 2 * k}
-        return _trusted(DumontPermutation, self.n, tuple(cycle.get(v, v) for v in self.word))
-
-    def _r(self) -> DumontPermutation:
-        # sigma^r(i) = 2n+3 - sigma(2n+3-i)
-        m = 2 * self.n + 3
-        return _trusted(DumontPermutation, self.n, tuple(m - v for v in reversed(self.word)))
-
-    def _reduce(self) -> DumontPermutation:
-        # with l = n, positions 2n+1, 2n+2 necessarily hold 2n+2, 2n+1
-        return _trusted(DumontPermutation, self.n - 1, self.word[: 2 * self.n])
-
-    def _lift(self) -> DumontPermutation:
-        m = 2 * self.n + 2
-        return _trusted(DumontPermutation, self.n + 1, self.word + (m + 2, m + 1))
-
-    @classmethod
-    def from_text(cls, text: str) -> "DumontPermutation":
-        word = _parts(text, " ", _number)
-        if len(word) < 4 or len(word) % 2:
-            raise ModelSyntaxError(
-                f"word length must be an even number >= 4, got {len(word)} in {text!r}"
-            )
-        return cls(len(word) // 2 - 1, word)
-
-
-class DellacConfiguration(ModelObject):
-    """Dellac configuration stored as row_columns[i-1] = column of the dot in row i."""
-
-    __slots__ = ()
-    _tag, _data = 1, "row_columns"
-    row_columns = property(itemgetter(2), doc="c_1 .. c_{2n}")
-
-    def __post_init__(self) -> None:
-        _, n, cols = self
-        if n < 1:
-            raise ModelInvariantError(f"order must be >= 1, got {n}")
-        if len(cols) != 2 * n:
-            raise ModelInvariantError(f"need {2 * n} rows for order {n}, got {len(cols)}")
-        counts = [0] * (n + 1)
-        for i, c in enumerate(cols, 1):
-            if not 1 <= c <= n:
-                raise ModelInvariantError(f"row {i} uses column {c}, outside 1..{n}")
-            if not c <= i <= c + n:
-                raise ModelInvariantError(
-                    f"band condition fails: row {i} dot in column {c} needs {c} <= {i} <= {c + n}"
-                )
-            counts[c] += 1
-        if counts.count(2) != n:
-            c = next(c for c in range(1, n + 1) if counts[c] != 2)
-            raise ModelInvariantError(f"column {c} holds {counts[c]} dots, expected 2")
-
-    def serialize(self) -> str:
-        return " ".join([str(c) for c in self.row_columns])
-
-    def _k(self) -> int:
-        return self.row_columns[self.n]
-
-    def _l(self) -> int:
-        return self.row_columns[self.n - 1]
-
-    def _t(self) -> DellacConfiguration:
-        # swap the dots of rows n and n+1
-        cols = list(self.row_columns)
-        cols[self.n - 1], cols[self.n] = cols[self.n], cols[self.n - 1]
-        return _trusted(DellacConfiguration, self.n, tuple(cols))
-
-    def _r(self) -> DellacConfiguration:
-        # half-turn of the board: the dot (j, i) moves to (n+1-j, 2n+1-i)
-        n = self.n
-        return _trusted(DellacConfiguration, n, tuple(n + 1 - c for c in reversed(self.row_columns)))
-
-    def _reduce(self) -> DellacConfiguration:
-        n = self.n
-        # with l = n, column n holds exactly the dots of rows n and 2n; drop them with it
-        cols = tuple(c for i, c in enumerate(self.row_columns, 1) if i not in (n, 2 * n))
-        return _trusted(DellacConfiguration, n - 1, cols)
-
-    def _lift(self) -> DellacConfiguration:
-        n = self.n + 1
-        old = self.row_columns
-        cols = old[: n - 1] + (n,) + old[n - 1 :] + (n,)
-        return _trusted(DellacConfiguration, n, cols)
-
-    @classmethod
-    def from_text(cls, text: str) -> "DellacConfiguration":
-        cols = _parts(text, " ", _number)
-        if len(cols) < 2 or len(cols) % 2:
-            raise ModelSyntaxError(
-                f"row count must be an even number >= 2, got {len(cols)} in {text!r}"
-            )
-        return cls(len(cols) // 2, cols)
-
-
-class FeiginChain(ModelObject):
-    """Subset chain I_0 .. I_n with #I_i = i and I_{i-1} minus {i} contained in I_i."""
-
-    __slots__ = ()
-    _tag, _data = 2, "subsets"
-    subsets = property(itemgetter(2), doc="I_0 .. I_n, each ascending")
-
-    def __post_init__(self) -> None:
-        _, n, subsets = self
-        if n < 1:
-            raise ModelInvariantError(f"order must be >= 1, got {n}")
-        if len(subsets) != n + 1:
-            raise ModelInvariantError(f"need {n + 1} subsets for order {n}, got {len(subsets)}")
-        prev = 0  # I_{i-1}, bit v set for each member v
-        for i, part in enumerate(subsets):
-            cur = last = 0
-            for v in part:
-                if not last < v <= n:  # the part is not 1 <= v_1 < v_2 < .. <= n
-                    if not all(map(lt, part, part[1:])):
-                        raise ModelInvariantError(f"subset {i} is not strictly ascending")
-                    raise ModelInvariantError(f"subset {i} has values outside 1..{n}")
-                cur |= 1 << v
-                last = v
-            if len(part) != i:
-                raise ModelInvariantError(f"subset {i} has size {len(part)}, expected {i}")
-            # prev - {i} <= cur: nothing but i leaves
-            if prev & ~cur not in (0, 1 << i):
-                raise ModelInvariantError(
-                    f"chain condition fails at step {i}: only {i} may leave the previous subset"
-                )
-            prev = cur
-
-    def serialize(self) -> str:
-        return ";".join([",".join([str(v) for v in part]) for part in self.subsets])
-
-    def _k(self) -> int:
-        for i, part in enumerate(self.subsets):
-            if 1 in part:
-                return i
-
-    def _l(self) -> int:
-        n = self.n
-        for i, part in enumerate(self.subsets):
-            if n in part:
-                return i
-
-    @classmethod
-    def from_text(cls, text: str) -> "FeiginChain":
-        subsets = _parts(text, ";", _subset)
-        if len(subsets) < 2:
-            raise ModelSyntaxError(f"chain needs at least subsets I_0 and I_1 in {text!r}")
-        return cls(len(subsets) - 1, subsets)
-
-
-class SetTuple(ModelObject):
-    """Tuple (S_1, .., S_n) with #S_i = #S_i^{-1} in {1, 2} and straddling preimages."""
-
-    __slots__ = ()
-    _tag, _data = 3, "sets"
-    sets = property(itemgetter(2), doc="S_1 .. S_n, each ascending")
-
-    def __post_init__(self) -> None:
-        _, n, sets = self
-        if n < 1:
-            raise ModelInvariantError(f"order must be >= 1, got {n}")
-        if len(sets) != n:
-            raise ModelInvariantError(f"need {n} sets for order {n}, got {len(sets)}")
-        # count[v], first[v], last[v]: occurrences of value v and the
-        # positions of the first and the last one
-        count = [0] * (n + 1)
-        first = [0] * (n + 1)
-        last = [0] * (n + 1)
-        for j, part in enumerate(sets, 1):
-            size = len(part)
-            if size == 2:
-                if not part[0] < part[1]:
-                    raise ModelInvariantError(f"set {j} is not strictly ascending")
-            elif size != 1:
-                if list(part) != sorted(set(part)):
-                    raise ModelInvariantError(f"set {j} is not strictly ascending")
-                raise ModelInvariantError(f"set {j} has size {size}, expected 1 or 2")
-            for v in part:
-                if not 1 <= v <= n:
-                    raise ModelInvariantError(f"set {j} has value {v} outside 1..{n}")
-                if not count[v]:
-                    first[v] = j
-                count[v] += 1
-                last[v] = j
-        for i in range(1, n + 1):
-            size = len(sets[i - 1])
-            if count[i] != size:
-                raise ModelInvariantError(
-                    f"value {i} occurs {count[i]} times but #S_{i} = {size}"
-                )
-            if size == 2 and not first[i] < i < last[i]:
-                raise ModelInvariantError(
-                    f"occurrences of value {i} at positions {[first[i], last[i]]} "
-                    f"do not straddle {i}"
-                )
-
-    def serialize(self) -> str:
-        return ";".join([",".join([str(v) for v in part]) for part in self.sets])
-
-    def _k(self) -> int:
-        for j, part in enumerate(self.sets, 1):
-            if 1 in part:
-                return j
-
-    def _l(self) -> int:
-        n = self.n
-        for j, part in enumerate(self.sets, 1):
-            if n in part:
-                return j
-
-    def _t(self) -> SetTuple:
-        # exchange the values 1 and n; a part holds one value or two ascending
-        n = self.n
-        swap = list(range(n + 1))
-        swap[1], swap[n] = n, 1
-        parts = []
-        for part in self.sets:
-            if len(part) == 1:
-                parts.append((swap[part[0]],))
-            else:
-                u, v = swap[part[0]], swap[part[1]]
-                parts.append((u, v) if u < v else (v, u))
-        return _trusted(SetTuple, n, tuple(parts))
-
-    def _r(self) -> SetTuple:
-        # v -> n+1-v reverses the order of a part's values
-        m = self.n + 1
-        parts = tuple([
-            (m - part[0],) if len(part) == 1 else (m - part[1], m - part[0])
-            for part in reversed(self.sets)
-        ])
-        return _trusted(SetTuple, self.n, parts)
-
-    def _reduce(self) -> SetTuple:
-        # l = n forces S_n = {n}
-        return _trusted(SetTuple, self.n - 1, self.sets[:-1])
-
-    def _lift(self) -> SetTuple:
-        n = self.n + 1
-        return _trusted(SetTuple, n, self.sets + ((n,),))
-
-    @classmethod
-    def from_text(cls, text: str) -> "SetTuple":
-        sets = _parts(text, ";", _subset)
-        return cls(len(sets), sets)
-
-
-class HetyeiTuple(ModelObject):
-    """Pair tuple ({u_1,v_1}, .., {u_n,v_n}), u_l <= v_l in [l], entries covering [n]."""
-
-    __slots__ = ()
-    _tag, _data = 4, "pairs"
-    pairs = property(itemgetter(2), doc="(u_1, v_1) .. (u_n, v_n)")
-
-    def __post_init__(self) -> None:
-        _, n, pairs = self
-        if n < 1:
-            raise ModelInvariantError(f"order must be >= 1, got {n}")
-        if len(pairs) != n:
-            raise ModelInvariantError(f"need {n} pairs for order {n}, got {len(pairs)}")
-        covered = 0  # bit x set once value x is an entry
-        for l, (u, v) in enumerate(pairs, 1):
-            if u > v:
-                raise ModelInvariantError(f"pair {l} is not sorted: {u} > {v}")
-            if not (1 <= u and v <= l):
-                raise ModelInvariantError(f"pair {l} = ({u},{v}) has entries outside 1..{l}")
-            covered |= 1 << u | 1 << v
-        if covered != (1 << n + 1) - 2:
-            missing = [x for x in range(1, n + 1) if not covered >> x & 1]
-            raise ModelInvariantError(f"entries do not cover 1..{n}: missing {missing}")
-
-    def serialize(self) -> str:
-        return ";".join([f"{u},{v}" for u, v in self.pairs])
-
-    def _k(self) -> int:
-        # the scan of the module docstring; c is the largest chain value <= p
-        _, n, pairs = self
-        below = reversed(pairs)
-        c = next(below)[0]  # u_n, which is n only for the pair {n, n}
-        if c == n:
-            return 1
-        p = n
-        for pair in below:
-            p -= 1
-            if c in pair:
-                return n + 1 - p
-            if p == c:
-                c = pair[0]
-
-    def _l(self) -> int:
-        # the last pair holding 1, which is its u since u <= v
-        for l, (u, _) in enumerate(reversed(self.pairs), 1):
-            if u == 1:
-                return l
-
-    @classmethod
-    def from_text(cls, text: str) -> "HetyeiTuple":
-        pairs = _parts(text, ";", _pair)
-        return cls(len(pairs), pairs)
-
-
-# The canonical grammar, one reader a unit: _number, _subset and _pair.
-# _parts splits a text at its separator and reads each piece through one of
-# them.  lru_cache stores no raised exception, so a reader's memo holds only
-# the pieces it accepted, and a refused piece is refused again alike.
-
-# the number of pieces each reader remembers: every subset of [n] up to
-# order 12
+# the grammar
+
+# The canonical grammar, one reader and one writer a unit: _number and
+# _write_number, _subset and _write_subset, _pair and _write_pair.  Each
+# family states its separator, its reader and its writer once, as the class
+# attributes _sep, _read and _write.  _parts splits a text at its separator
+# and reads each piece through the reader; serialize joins the texts of the
+# components at the separator, and the enumeration walk builds its texts
+# from the same writer.  lru_cache stores no raised exception, so a reader's
+# memo holds only the pieces it accepted, and a refused piece is refused
+# again alike.  A writer's memo is keyed by the component, which equals and
+# hashes alike whether its numbers are ints or bools (True == 1), so the
+# public constructor refuses every number that is not an int (see
+# _check_types): no component that would write "True" for 1 is ever built.
+
+# the number of pieces each reader and each writer remembers: every subset
+# of [n] up to order 12
 _PART_MEMO_SIZE = 4096
 
 
@@ -588,6 +224,437 @@ def _pair(piece: str) -> tuple[int, int]:
     if u > v:
         raise ModelSyntaxError(f"pair {piece!r} must be written with u <= v")
     return u, v
+
+
+@lru_cache(maxsize=_PART_MEMO_SIZE)
+def _write_number(value: int) -> str:
+    """The text of a number, which _number reads back."""
+    return str(value)
+
+
+@lru_cache(maxsize=_PART_MEMO_SIZE)
+def _write_subset(part: tuple[int, ...]) -> str:
+    """The text of a subset, which _subset reads back."""
+    return ",".join(map(_write_number, part))
+
+
+@lru_cache(maxsize=_PART_MEMO_SIZE)
+def _write_pair(pair: tuple[int, int]) -> str:
+    """The text of a pair, which _pair reads back."""
+    return ",".join(map(_write_number, pair))
+
+
+# ---------------------------------------------------------------------------
+# object types
+
+_new_tuple = tuple.__new__
+
+
+class ModelObject(tuple):
+    """Base of the five families: the immutable tuple (tag, n, data)."""
+
+    __slots__ = ()
+    _tag: int
+    _data: str  # the name of the data attribute
+    # the family's grammar: the separator between the texts of its
+    # components, and the reader and the writer of one component's text
+    _sep: str
+    _read: staticmethod
+    _write: staticmethod
+
+    n = property(itemgetter(1), doc="the order")
+
+    def __new__(cls, n, data):
+        """The object (n, data) of family cls, checked by _check_types and
+        then by the family's __post_init__."""
+        _check_types(cls, n, data)
+        return _validated(cls, n, data)
+
+    def __getnewargs__(self):
+        return self[1:]  # (n, data): copies and unpickled objects are validated
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self[1]!r}, {self._data}={self[2]!r})"
+
+    def serialize(self) -> str:
+        return self._sep.join(map(self._write, self[2]))
+
+
+def _check_types(cls, n, data) -> None:
+    """Raise ModelInvariantError unless n is an int and data a tuple of ints
+    (of tuples of ints where the components are subsets or pairs): exact
+    types, so no bool, float or list is built into an object."""
+    if type(n) is not int:
+        raise ModelInvariantError(f"order must be an int, got {n!r}")
+    name = cls._data
+    if type(data) is not tuple:
+        raise ModelInvariantError(f"{name} must be a tuple, got {data!r}")
+    values = data
+    if cls._read is not _number:
+        if not {*map(type, data)} <= {tuple}:
+            part = next(part for part in data if type(part) is not tuple)
+            raise ModelInvariantError(f"{name} must hold tuples, got {part!r}")
+        values = tuple(chain.from_iterable(data))
+    if not {*map(type, values)} <= {int}:
+        value = next(value for value in values if type(value) is not int)
+        raise ModelInvariantError(f"{name} must hold ints, got {value!r}")
+
+
+def _validated(cls, n, data):
+    """The object (n, data) of family cls, checked by the family's
+    __post_init__, looked up on the class at each call; parse's readers
+    build ints in tuples only, so parse checks no types."""
+    obj = _new_tuple(cls, (cls._tag, n, data))
+    obj.__post_init__()
+    return obj
+
+
+def _trusted(cls, n, data):
+    """The object (n, data) of family cls, built without validation.
+
+    For the enumerators and the maps only, whose outputs are valid by
+    construction; every other caller goes through the public constructor.
+    """
+    return _new_tuple(cls, (cls._tag, n, data))
+
+
+class DumontPermutation(ModelObject):
+    """Normalized Dumont permutation of the second kind, as a word of length 2n+2."""
+
+    __slots__ = ()
+    _tag, _data = 0, "word"
+    _sep, _read, _write = " ", staticmethod(_number), staticmethod(_write_number)
+    word = property(itemgetter(2), doc="sigma(1) .. sigma(2n+2)")
+
+    def __post_init__(self) -> None:
+        _, n, word = self
+        if n < 1:
+            raise ModelInvariantError(f"order must be >= 1, got {n}")
+        m = 2 * n + 2
+        if len(word) != m:
+            raise ModelInvariantError(f"word length must be {m} for order {n}, got {len(word)}")
+        if sorted(word) != list(range(1, m + 1)):
+            raise ModelInvariantError(f"word is not a permutation of 1..{m}")
+        # sigma(p) > p at the odd positions p, sigma(p) < p at the even ones
+        if not (all(map(gt, word[0::2], range(1, m, 2)))
+                and all(map(lt, word[1::2], range(2, m + 1, 2)))):
+            for p, v in enumerate(word, 1):
+                if p % 2 and v <= p:
+                    raise ModelInvariantError(
+                        f"excedance condition fails: sigma({p}) = {v} is not > {p}"
+                    )
+                if not p % 2 and v >= p:
+                    raise ModelInvariantError(
+                        f"deficiency condition fails: sigma({p}) = {v} is not < {p}"
+                    )
+        pos = [0] * (m + 1)  # pos[v]: the position of value v
+        for p, v in enumerate(word):
+            pos[v] = p
+        for i in range(1, n + 1):
+            if pos[2 * i] > pos[2 * i + 1]:
+                raise ModelInvariantError(
+                    f"normalization fails: value {2 * i} appears after value {2 * i + 1}"
+                )
+
+    def _k(self) -> int:
+        return self.word[0] // 2
+
+    def _l(self) -> int:
+        return (self.word[-1] - 1) // 2
+
+    def _t(self) -> DumontPermutation:
+        k, l = k_statistic(self), l_statistic(self)
+        if k == l:
+            return self
+        cycle = {2 * k: 2 * l, 2 * l: 2 * l + 1, 2 * l + 1: 2 * k + 1, 2 * k + 1: 2 * k}
+        return _trusted(DumontPermutation, self.n, tuple(cycle.get(v, v) for v in self.word))
+
+    def _r(self) -> DumontPermutation:
+        # sigma^r(i) = 2n+3 - sigma(2n+3-i)
+        m = 2 * self.n + 3
+        return _trusted(DumontPermutation, self.n, tuple(m - v for v in reversed(self.word)))
+
+    def _reduce(self) -> DumontPermutation:
+        # with l = n, positions 2n+1, 2n+2 necessarily hold 2n+2, 2n+1
+        return _trusted(DumontPermutation, self.n - 1, self.word[: 2 * self.n])
+
+    def _lift(self) -> DumontPermutation:
+        m = 2 * self.n + 2
+        return _trusted(DumontPermutation, self.n + 1, self.word + (m + 2, m + 1))
+
+    @classmethod
+    def from_text(cls, text: str) -> "DumontPermutation":
+        word = _parts(text, cls._sep, cls._read)
+        if len(word) < 4 or len(word) % 2:
+            raise ModelSyntaxError(
+                f"word length must be an even number >= 4, got {len(word)} in {text!r}"
+            )
+        return _validated(cls, len(word) // 2 - 1, word)
+
+
+class DellacConfiguration(ModelObject):
+    """Dellac configuration stored as row_columns[i-1] = column of the dot in row i."""
+
+    __slots__ = ()
+    _tag, _data = 1, "row_columns"
+    _sep, _read, _write = " ", staticmethod(_number), staticmethod(_write_number)
+    row_columns = property(itemgetter(2), doc="c_1 .. c_{2n}")
+
+    def __post_init__(self) -> None:
+        _, n, cols = self
+        if n < 1:
+            raise ModelInvariantError(f"order must be >= 1, got {n}")
+        if len(cols) != 2 * n:
+            raise ModelInvariantError(f"need {2 * n} rows for order {n}, got {len(cols)}")
+        counts = [0] * (n + 1)
+        for i, c in enumerate(cols, 1):
+            if not 1 <= c <= n:
+                raise ModelInvariantError(f"row {i} uses column {c}, outside 1..{n}")
+            if not c <= i <= c + n:
+                raise ModelInvariantError(
+                    f"band condition fails: row {i} dot in column {c} needs {c} <= {i} <= {c + n}"
+                )
+            counts[c] += 1
+        if counts.count(2) != n:
+            c = next(c for c in range(1, n + 1) if counts[c] != 2)
+            raise ModelInvariantError(f"column {c} holds {counts[c]} dots, expected 2")
+
+    def _k(self) -> int:
+        return self.row_columns[self.n]
+
+    def _l(self) -> int:
+        return self.row_columns[self.n - 1]
+
+    def _t(self) -> DellacConfiguration:
+        # swap the dots of rows n and n+1
+        cols = list(self.row_columns)
+        cols[self.n - 1], cols[self.n] = cols[self.n], cols[self.n - 1]
+        return _trusted(DellacConfiguration, self.n, tuple(cols))
+
+    def _r(self) -> DellacConfiguration:
+        # half-turn of the board: the dot (j, i) moves to (n+1-j, 2n+1-i)
+        n = self.n
+        return _trusted(DellacConfiguration, n, tuple(n + 1 - c for c in reversed(self.row_columns)))
+
+    def _reduce(self) -> DellacConfiguration:
+        n = self.n
+        # with l = n, column n holds exactly the dots of rows n and 2n; drop them with it
+        cols = tuple(c for i, c in enumerate(self.row_columns, 1) if i not in (n, 2 * n))
+        return _trusted(DellacConfiguration, n - 1, cols)
+
+    def _lift(self) -> DellacConfiguration:
+        n = self.n + 1
+        old = self.row_columns
+        cols = old[: n - 1] + (n,) + old[n - 1 :] + (n,)
+        return _trusted(DellacConfiguration, n, cols)
+
+    @classmethod
+    def from_text(cls, text: str) -> "DellacConfiguration":
+        cols = _parts(text, cls._sep, cls._read)
+        if len(cols) < 2 or len(cols) % 2:
+            raise ModelSyntaxError(
+                f"row count must be an even number >= 2, got {len(cols)} in {text!r}"
+            )
+        return _validated(cls, len(cols) // 2, cols)
+
+
+class FeiginChain(ModelObject):
+    """Subset chain I_0 .. I_n with #I_i = i and I_{i-1} minus {i} contained in I_i."""
+
+    __slots__ = ()
+    _tag, _data = 2, "subsets"
+    _sep, _read, _write = ";", staticmethod(_subset), staticmethod(_write_subset)
+    subsets = property(itemgetter(2), doc="I_0 .. I_n, each ascending")
+
+    def __post_init__(self) -> None:
+        _, n, subsets = self
+        if n < 1:
+            raise ModelInvariantError(f"order must be >= 1, got {n}")
+        if len(subsets) != n + 1:
+            raise ModelInvariantError(f"need {n + 1} subsets for order {n}, got {len(subsets)}")
+        prev = 0  # I_{i-1}, bit v set for each member v
+        for i, part in enumerate(subsets):
+            cur = last = 0
+            for v in part:
+                if not last < v <= n:  # the part is not 1 <= v_1 < v_2 < .. <= n
+                    if not all(map(lt, part, part[1:])):
+                        raise ModelInvariantError(f"subset {i} is not strictly ascending")
+                    raise ModelInvariantError(f"subset {i} has values outside 1..{n}")
+                cur |= 1 << v
+                last = v
+            if len(part) != i:
+                raise ModelInvariantError(f"subset {i} has size {len(part)}, expected {i}")
+            # prev - {i} <= cur: nothing but i leaves
+            if prev & ~cur not in (0, 1 << i):
+                raise ModelInvariantError(
+                    f"chain condition fails at step {i}: only {i} may leave the previous subset"
+                )
+            prev = cur
+
+    def _k(self) -> int:
+        for i, part in enumerate(self.subsets):
+            if 1 in part:
+                return i
+
+    def _l(self) -> int:
+        n = self.n
+        for i, part in enumerate(self.subsets):
+            if n in part:
+                return i
+
+    @classmethod
+    def from_text(cls, text: str) -> "FeiginChain":
+        subsets = _parts(text, cls._sep, cls._read)
+        if len(subsets) < 2:
+            raise ModelSyntaxError(f"chain needs at least subsets I_0 and I_1 in {text!r}")
+        return _validated(cls, len(subsets) - 1, subsets)
+
+
+class SetTuple(ModelObject):
+    """Tuple (S_1, .., S_n) with #S_i = #S_i^{-1} in {1, 2} and straddling preimages."""
+
+    __slots__ = ()
+    _tag, _data = 3, "sets"
+    _sep, _read, _write = ";", staticmethod(_subset), staticmethod(_write_subset)
+    sets = property(itemgetter(2), doc="S_1 .. S_n, each ascending")
+
+    def __post_init__(self) -> None:
+        _, n, sets = self
+        if n < 1:
+            raise ModelInvariantError(f"order must be >= 1, got {n}")
+        if len(sets) != n:
+            raise ModelInvariantError(f"need {n} sets for order {n}, got {len(sets)}")
+        # count[v], first[v], last[v]: occurrences of value v and the
+        # positions of the first and the last one
+        count = [0] * (n + 1)
+        first = [0] * (n + 1)
+        last = [0] * (n + 1)
+        for j, part in enumerate(sets, 1):
+            size = len(part)
+            if size == 2:
+                if not part[0] < part[1]:
+                    raise ModelInvariantError(f"set {j} is not strictly ascending")
+            elif size != 1:
+                if list(part) != sorted(set(part)):
+                    raise ModelInvariantError(f"set {j} is not strictly ascending")
+                raise ModelInvariantError(f"set {j} has size {size}, expected 1 or 2")
+            for v in part:
+                if not 1 <= v <= n:
+                    raise ModelInvariantError(f"set {j} has value {v} outside 1..{n}")
+                if not count[v]:
+                    first[v] = j
+                count[v] += 1
+                last[v] = j
+        for i in range(1, n + 1):
+            size = len(sets[i - 1])
+            if count[i] != size:
+                raise ModelInvariantError(
+                    f"value {i} occurs {count[i]} times but #S_{i} = {size}"
+                )
+            if size == 2 and not first[i] < i < last[i]:
+                raise ModelInvariantError(
+                    f"occurrences of value {i} at positions {[first[i], last[i]]} "
+                    f"do not straddle {i}"
+                )
+
+    def _k(self) -> int:
+        for j, part in enumerate(self.sets, 1):
+            if 1 in part:
+                return j
+
+    def _l(self) -> int:
+        n = self.n
+        for j, part in enumerate(self.sets, 1):
+            if n in part:
+                return j
+
+    def _t(self) -> SetTuple:
+        # exchange the values 1 and n; a part holds one value or two ascending
+        n = self.n
+        swap = list(range(n + 1))
+        swap[1], swap[n] = n, 1
+        parts = []
+        for part in self.sets:
+            if len(part) == 1:
+                parts.append((swap[part[0]],))
+            else:
+                u, v = swap[part[0]], swap[part[1]]
+                parts.append((u, v) if u < v else (v, u))
+        return _trusted(SetTuple, n, tuple(parts))
+
+    def _r(self) -> SetTuple:
+        # v -> n+1-v reverses the order of a part's values
+        m = self.n + 1
+        parts = tuple([
+            (m - part[0],) if len(part) == 1 else (m - part[1], m - part[0])
+            for part in reversed(self.sets)
+        ])
+        return _trusted(SetTuple, self.n, parts)
+
+    def _reduce(self) -> SetTuple:
+        # l = n forces S_n = {n}
+        return _trusted(SetTuple, self.n - 1, self.sets[:-1])
+
+    def _lift(self) -> SetTuple:
+        n = self.n + 1
+        return _trusted(SetTuple, n, self.sets + ((n,),))
+
+    @classmethod
+    def from_text(cls, text: str) -> "SetTuple":
+        sets = _parts(text, cls._sep, cls._read)
+        return _validated(cls, len(sets), sets)
+
+
+class HetyeiTuple(ModelObject):
+    """Pair tuple ({u_1,v_1}, .., {u_n,v_n}), u_l <= v_l in [l], entries covering [n]."""
+
+    __slots__ = ()
+    _tag, _data = 4, "pairs"
+    _sep, _read, _write = ";", staticmethod(_pair), staticmethod(_write_pair)
+    pairs = property(itemgetter(2), doc="(u_1, v_1) .. (u_n, v_n)")
+
+    def __post_init__(self) -> None:
+        _, n, pairs = self
+        if n < 1:
+            raise ModelInvariantError(f"order must be >= 1, got {n}")
+        if len(pairs) != n:
+            raise ModelInvariantError(f"need {n} pairs for order {n}, got {len(pairs)}")
+        covered = 0  # bit x set once value x is an entry
+        for l, (u, v) in enumerate(pairs, 1):
+            if u > v:
+                raise ModelInvariantError(f"pair {l} is not sorted: {u} > {v}")
+            if not (1 <= u and v <= l):
+                raise ModelInvariantError(f"pair {l} = ({u},{v}) has entries outside 1..{l}")
+            covered |= 1 << u | 1 << v
+        if covered != (1 << n + 1) - 2:
+            missing = [x for x in range(1, n + 1) if not covered >> x & 1]
+            raise ModelInvariantError(f"entries do not cover 1..{n}: missing {missing}")
+
+    def _k(self) -> int:
+        # the scan of the module docstring; c is the largest chain value <= p
+        _, n, pairs = self
+        below = reversed(pairs)
+        c = next(below)[0]  # u_n, which is n only for the pair {n, n}
+        if c == n:
+            return 1
+        p = n
+        for pair in below:
+            p -= 1
+            if c in pair:
+                return n + 1 - p
+            if p == c:
+                c = pair[0]
+
+    def _l(self) -> int:
+        # the last pair holding 1, which is its u since u <= v
+        for l, (u, _) in enumerate(reversed(self.pairs), 1):
+            if u == 1:
+                return l
+
+    @classmethod
+    def from_text(cls, text: str) -> "HetyeiTuple":
+        pairs = _parts(text, cls._sep, cls._read)
+        return _validated(cls, len(pairs), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -688,25 +755,35 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 #
 #   size  the number of components of an object (its data tuple), chosen one
 #         at a time at the steps i = 0 .. size - 1;
-#   step  step(i, state) -> [(component, next state), ...]: the legal
-#         choices at step i after a prefix that left the state, in text
+#   step  step(i, state) -> [(fragment, component, next state), ...]: the
+#         legal choices at step i after a prefix that left the state, each
+#         after its fragment, the text it adds (see Text order), in text
 #         order.  The state is an int, 0 before step 0, and keeps only what
 #         the later choices read;
 #   mark  mark(i, component) -> (k or 0, l or 0): the statistics the choice
 #         fixes.  hetyei has none, since its k is fixed by the redundancy
 #         chain, which runs from the last position down.
 #
-# _walk lists the objects by the rule and _tally counts them by it, so a
-# listing and a table read the same choices.
+# _walk lists the objects by the rule, and writes their texts from its
+# fragments, and _tally counts them by it, so a listing and a table read
+# the same choices.
 #
 # Text order: at every step the choices come in the string order of the
-# text fragment a choice adds, that is the component's text and its
-# separator ("v " for pd2n and dellac, "a,b;" for chain and settuple, "u,v;"
-# for hetyei).  The separator occurs nowhere else in a fragment, so no
-# fragment is a prefix of another and fragment order is the order of whole
-# serializations ("10" < "2", "1,3;" < "1;").  The last component, written
-# without its separator, is forced by the earlier ones, or for hetyei is
-# always "u,n", so the same holds there.
+# text fragment a choice adds, that is the component's text, written by the
+# family's writer, and its separator ("v " for pd2n and dellac, "a,b;" for
+# chain and settuple, "u,v;" for hetyei).  The separator occurs nowhere else
+# in a fragment, so no fragment is a prefix of another and fragment order is
+# the order of whole serializations ("10" < "2", "1,3;" < "1;").  The last
+# component, written without its separator, is forced by the earlier ones,
+# or for hetyei is always "u,n", so the same holds there.
+
+
+def _fragment_writer(cls):
+    """The fragment of a component of family cls: its text, by the family's
+    writer, and the family's separator.  A rule whose steps offer the same
+    component makes its fragment once, so one string serves every step."""
+    write, sep = cls._write, cls._sep
+    return lambda component: write(component) + sep
 
 
 def _dumont_rule(n: int):
@@ -715,15 +792,17 @@ def _dumont_rule(n: int):
     # once its mate v - 1 is used (normalization): of the bits tested[v], of
     # v and its mate, exactly needed[v], the mate's, are set
     m = 2 * n + 2
+    texts = list(map(_fragment_writer(DumontPermutation), range(m + 1)))
     candidates = [
-        sorted(range(p + 1, m + 1) if p % 2 else range(1, p), key=lambda v: f"{v} ")
+        sorted(range(p + 1, m + 1) if p % 2 else range(1, p), key=texts.__getitem__)
         for p in range(1, m + 1)
     ]
     needed = [1 << v - 1 if v % 2 and v > 1 else 0 for v in range(m + 1)]
     tested = [1 << v | needed[v] for v in range(m + 1)]
 
     def step(i, used):
-        return [(v, used | 1 << v) for v in candidates[i] if used & tested[v] == needed[v]]
+        return [(texts[v], v, used | 1 << v) for v in candidates[i]
+                if used & tested[v] == needed[v]]
 
     def mark(i, v):
         # k = sigma(1) / 2, l = (sigma(2n+2) - 1) / 2
@@ -737,8 +816,9 @@ def _dellac_rule(n: int):
     # with c <= r <= c + n that holds fewer than two dots, and column r - n,
     # whose band ends at row r, must then hold two
     rows = 2 * n
+    texts = list(map(_fragment_writer(DellacConfiguration), range(n + 1)))
     candidates = [
-        sorted(range(max(1, r - n), min(r, n) + 1), key=lambda c: f"{c} ")
+        sorted(range(max(1, r - n), min(r, n) + 1), key=texts.__getitem__)
         for r in range(1, rows + 1)
     ]
 
@@ -750,7 +830,7 @@ def _dellac_rule(n: int):
                 continue
             new = loads + (1 << 2 * c)
             if closing <= 0 or new >> closing & 3 == 2:
-                out.append((c, new))
+                out.append((texts[c], c, new))
         return out
 
     def mark(i, c):
@@ -760,18 +840,15 @@ def _dellac_rule(n: int):
     return rows, step, mark
 
 
-def _subset_text(part: tuple[int, ...]) -> str:
-    return ",".join(map(str, part)) + ";"
-
-
 def _chain_rule(n: int):
     # I_{i-1} as a bit mask, and the rule of the module docstring after the
     # empty I_0
     values = range(1, n + 1)
+    fragment = _fragment_writer(FeiginChain)
 
     def step(i, prev):
         if not i:
-            return [((), 0)]
+            return [(fragment(()), (), 0)]
         base = prev & ~(1 << i)
         inside = [v for v in values if base >> v & 1]
         outside = [v for v in values if not base >> v & 1]
@@ -780,8 +857,9 @@ def _chain_rule(n: int):
         # CPython's free lists
         parts = [tuple(sorted(inside + list(extra)))
                  for extra in combinations(outside, i - len(inside))]
-        parts.sort(key=_subset_text)
-        return [(part, sum([1 << v for v in part])) for part in parts]
+        choices = [(fragment(part), part, sum([1 << v for v in part])) for part in parts]
+        choices.sort()  # by fragment, since no two are equal
+        return choices
 
     def mark(i, part):
         # the first indices whose sets hold 1 and n
@@ -794,12 +872,12 @@ def _settuple_rule(n: int):
     # the one-bit-a-value mask of the module docstring, which holds the
     # state since a value never has more than one occurrence to come, nor
     # more than one before its own step.  Every step tries the same 1- and
-    # 2-subsets of [n], in text order, each as (part, its bits, whether it is
-    # a pair)
+    # 2-subsets of [n], in text order, each as (fragment, part, its bits,
+    # whether it is a pair)
+    fragment = _fragment_writer(SetTuple)
     parts = sorted(
-        ((part, sum(1 << v for v in part), len(part) == 2)
-         for size in (1, 2) for part in combinations(range(1, n + 1), size)),
-        key=lambda entry: _subset_text(entry[0]),
+        (fragment(part), part, sum(1 << v for v in part), len(part) == 2)
+        for size in (1, 2) for part in combinations(range(1, n + 1), size)
     )
     values = (1 << n + 1) - 2
 
@@ -811,7 +889,7 @@ def _settuple_rule(n: int):
         seen = mask >> j & 1
         low = earlier | 1 << j
         out = []
-        for part, chosen, pair in parts:
+        for text, part, chosen, pair in parts:
             # a pair S_j needs one occurrence of j before j, which then is
             # not usable, and one after
             if chosen & ~usable or pair and not seen:
@@ -824,7 +902,7 @@ def _settuple_rule(n: int):
             # the occurrences to come, plus one for each v > j not yet
             # seen, fit the 2 (n - j) places left
             if (new & low).bit_count() + n - j - (new >> j + 1).bit_count() <= 2 * (n - j):
-                out.append((part, new))
+                out.append((text, part, new))
         return out
 
     def mark(i, part):
@@ -839,16 +917,17 @@ def _hetyei_rule(n: int):
     # positions after l = i + 1 hold 2 (n - l) entries and position p may
     # take any value <= p, so by Hall's condition a prefix extends to a full
     # tuple exactly when at most that many values are still uncovered
+    fragment = _fragment_writer(HetyeiTuple)
+    texts = {(u, v): fragment((u, v)) for v in range(1, n + 1) for u in range(1, v + 1)}
     candidates = [
-        sorted((((u, v), 1 << u - 1 | 1 << v - 1)
-                for u in range(1, l + 1) for v in range(u, l + 1)),
-               key=lambda entry: "%d,%d;" % entry[0])
+        sorted((texts[u, v], (u, v), 1 << u - 1 | 1 << v - 1)
+               for u in range(1, l + 1) for v in range(u, l + 1))
         for l in range(1, n + 1)
     ]
 
     def step(i, covered):
         spare = 2 * (n - 1 - i)
-        return [(pair, new) for pair, bits in candidates[i]
+        return [(text, pair, new) for text, pair, bits in candidates[i]
                 if n - (new := covered | bits).bit_count() <= spare]
 
     return n, step, None
@@ -865,30 +944,40 @@ _RULES = {
 
 # the number of (step, state) pairs whose choices a walk remembers, least
 # recently used dropped first.  Sized for pd2n, whose walk meets the most
-# states: with 256 / 384 / 512 pairs its walk peaks at 115 / 199 / 245 KiB
-# of tracemalloc at order 6, and computes 1.9 / 1.2 / 0.8 M of its 21.6 M
-# step calls at order 8.
+# states: with 256 / 384 / 512 pairs its walk, each choice held with its
+# fragment, peaks at 129 / 212-229 / 259 KiB of tracemalloc at order 6, and
+# computes 1.9 / 1.2 / 0.8 M of its 21.6 M step calls at order 8.
 _STEP_MEMO_SIZE = 384
 
 
-def _walk(model: str, n: int) -> Iterator:
-    """The order-n objects of the family in text order: a depth-first walk
-    of its rule, one generator frame a step, that yields at the last step."""
+def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
+    """The order-n objects of the family in text order, each after its
+    text: a depth-first walk of its rule that carries the text of its
+    prefix down, one generator frame a step but the last, whose choices the
+    frame of the step before writes and yields."""
     cls = _MODEL_CLASSES[model]
+    write = cls._write
     size, step, _ = _RULES[model](n)
     children = lru_cache(maxsize=_STEP_MEMO_SIZE)(step)
     acc = [None] * size
     last = size - 1
 
-    def extend(i: int, choices: list) -> Iterator:
-        for component, new in choices:
+    def extend(i: int, prefix: str, choices: list) -> Iterator:
+        j = i + 1
+        for fragment, component, new in choices:
             acc[i] = component
-            if i == last:
-                yield _trusted(cls, n, tuple(acc))
-            elif below := children(i + 1, new):  # no frame for a dead end
-                yield from extend(i + 1, below)
+            if j < last:
+                if below := children(j, new):  # no frame for a dead end
+                    yield from extend(j, prefix + fragment, below)
+            else:
+                prefix_j = prefix + fragment
+                for _, component_j, _ in children(j, new):
+                    acc[j] = component_j
+                    yield prefix_j + write(component_j), _trusted(cls, n, tuple(acc))
 
-    yield from extend(0, children(0, 0))
+    # from a root choice before step 0, which adds no text and leaves the
+    # state 0; its component lands in acc[-1], which the last step overwrites
+    yield from extend(-1, "", [("", None, 0)])
 
 
 def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
@@ -904,7 +993,7 @@ def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
         for (k, l, state), count in states.items():
             choices = children.get(state)
             if choices is None:
-                choices = children[state] = [(*mark(i, c), new) for c, new in step(i, state)]
+                choices = children[state] = [(*mark(i, c), new) for _, c, new in step(i, state)]
             for mk, ml, new in choices:
                 key = (k or mk, l or ml, new)
                 nxt[key] = nxt.get(key, 0) + count
@@ -953,8 +1042,9 @@ def _joint(states: dict) -> dict[tuple[int, int], int]:
     return dict(sorted(table.items()))
 
 
-# the dispatch on the family; _walk and _tally read _RULES at each call, so
-# a replaced rule reaches both
+# the dispatch on the family: an enumerator yields the pairs (text, object)
+# of listing.  _walk and _tally read _RULES at each call, so a replaced rule
+# reaches both
 _ENUMERATORS = {model: partial(_walk, model) for model in _RULES}
 _TALLIES = {model: partial(_tally, model) for model in _RULES}
 _TALLIES["hetyei"] = _tally_hetyei
@@ -968,19 +1058,32 @@ def _check_call(model: str, n: int, limit: int | None) -> None:
     check_enumeration_guard(n, limit)
 
 
-def enumerate_model(model: str, n: int,
-                    limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Iterator:
-    """All order-n objects of the named family, as a lazy iterator in canonical order.
+def listing(model: str, n: int,
+            limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Iterator[tuple[str, ModelObject]]:
+    """All order-n objects of the named family, each as the pair (its
+    serialization, the object), as a lazy iterator in canonical order.
 
     Canonical order is lexicographic on the serialization string; the walk
-    of the family's rule emits it directly, so the objects stream in
-    bounded memory.
+    of the family's rule emits it directly, and writes each text from the
+    texts of the prefix it shares with the previous one, so the pairs
+    stream in bounded memory.
     The model, the order and the guard are checked at the call, before any
     object is built: orders beyond `limit` raise ResourceGuardError (pass a
     larger limit, or None, to override).
+
+    >>> next(listing("hetyei", 3))
+    ('1,1;1,1;2,3', HetyeiTuple(n=3, pairs=((1, 1), (1, 1), (2, 3))))
     """
     _check_call(model, n, limit)
     return _ENUMERATORS[model](n)
+
+
+def enumerate_model(model: str, n: int,
+                    limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Iterator:
+    """All order-n objects of the named family, as a lazy iterator in
+    canonical order: the objects of listing(model, n, limit), whose checks
+    it makes at the call."""
+    return map(itemgetter(1), listing(model, n, limit))
 
 
 def statistics_table(model: str, n: int,

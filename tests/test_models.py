@@ -14,13 +14,14 @@ import pickle
 import re
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import DATA_ATTRIBUTES, cached_objects, rebuilt
-from genocchi import cli, models, triangles
+from genocchi import cli, maps, models, triangles
 from genocchi.models import (
     DellacConfiguration,
     DumontPermutation,
@@ -286,6 +287,45 @@ def test_stream_order_holds_for_two_digit_numbers(model, n):
     assert strictly_increasing(listing)
 
 
+LISTING_ORDERS = [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("n", LISTING_ORDERS)
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_listing_is_the_serialization_of_the_objects(model, n):
+    texts, objs = zip(*models.listing(model, n))
+    assert objs == tuple(models.enumerate_model(model, n))
+    assert list(texts) == [models.serialize(o) for o in objs]
+
+
+@pytest.mark.parametrize("n", LISTING_ORDERS)
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_fragments_ascend_at_every_state_the_walk_meets(monkeypatch, model, n):
+    # the walk writes its texts from the rule's fragments, and meets them in
+    # text order only if, at each (step, state), they strictly ascend
+    rule = models._RULES[model]
+    met = []
+
+    def recorded(n):
+        size, step, mark = rule(n)
+
+        def step_recorded(i, state):
+            choices = step(i, state)
+            met.append(choices)
+            return choices
+
+        return size, step_recorded, mark
+
+    monkeypatch.setitem(models._RULES, model, recorded)
+    assert sum(1 for _ in models.listing(model, n)) == triangles.normalized_genocchi(n)
+    assert met
+    cls = models._MODEL_CLASSES[model]
+    for choices in met:
+        fragments = [fragment for fragment, _, _ in choices]
+        assert strictly_increasing(fragments), fragments
+        assert fragments == [cls._write(c) + cls._sep for _, c, _ in choices]
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_enumeration_streams_in_bounded_memory(model):
     # a sorted list of the 3,098 order-6 objects takes about 1 MiB
@@ -474,9 +514,82 @@ def test_subset_memo_is_bounded():
     for i in range(1, models._PART_MEMO_SIZE + 10):
         assert models._parts(str(i), ";", models._subset) == ((i,),)
         assert models._parts(f"{i},{i}", ";", models._pair) == ((i, i),)
-    for read in (models._number, models._subset, models._pair):
-        info = read.cache_info()
+        assert models._write_subset((i,)) == str(i)
+        assert models._write_pair((i, i)) == f"{i},{i}"
+    for memo in (models._number, models._subset, models._pair,
+                 models._write_number, models._write_subset, models._write_pair):
+        info = memo.cache_info()
         assert info.maxsize == info.currsize == models._PART_MEMO_SIZE
+
+
+class _Int(int):
+    """An int with a text of its own."""
+
+    def __str__(self):
+        return f"<{int(self)}>"
+
+
+# numbers that equal 1 and hash alike, so a writer's memo would take each
+# for 1, but are not ints
+_NOT_INTS = [True, 1.0, _Int(1)]
+
+
+def _with_ones_as(data, one):
+    if isinstance(data[0], tuple):
+        return tuple(tuple(one if v == 1 else v for v in part) for part in data)
+    return tuple(one if v == 1 else v for v in data)
+
+
+@pytest.mark.parametrize("one", _NOT_INTS, ids=["bool", "float", "int-subclass"])
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_constructors_refuse_numbers_that_are_not_ints(model, one):
+    obj = models.parse(model, ORDER3_CELLS[model][(2, 2)])
+    cls, data = type(obj), obj[2]
+    with pytest.raises(ModelInvariantError, match="must hold ints"):
+        cls(obj.n, _with_ones_as(data, one))
+    first = next(models.enumerate_model(model, 1))
+    with pytest.raises(ModelInvariantError, match="order must be an int"):
+        cls(one, first[2])
+
+
+@pytest.mark.parametrize("cls,n,raw,message", [
+    (DumontPermutation, 1, (2, True, 4, 3), "word must hold ints, got True"),
+    (DumontPermutation, 1, (2.0, 1, 4, 3), "word must hold ints, got 2.0"),
+    (DumontPermutation, 1, [2, 1, 4, 3], "word must be a tuple, got [2, 1, 4, 3]"),
+    (DellacConfiguration, 1, (1, True), "row_columns must hold ints, got True"),
+    (FeiginChain, 1, ((), [1]), "subsets must hold tuples, got [1]"),
+    (SetTuple, 1, ([1],), "sets must hold tuples, got [1]"),
+    (HetyeiTuple, 1, ((1.0, 1),), "pairs must hold ints, got 1.0"),
+    (HetyeiTuple, 2.0, ((1, 1), (1, 2)), "order must be an int, got 2.0"),
+])
+def test_constructors_refuse_what_no_text_spells(cls, n, raw, message):
+    # each of these equals a valid object, or cannot be hashed, but would
+    # not serialize to a text that parses back to it
+    with pytest.raises(ModelInvariantError, match=f"^{re.escape(message)}$"):
+        cls(n, raw)
+
+
+@pytest.mark.parametrize("one", _NOT_INTS, ids=["bool", "float", "int-subclass"])
+def test_no_object_the_api_builds_changes_a_later_serialization(one):
+    # the writers' memos start empty, so a stray one would be the first 1
+    # they keep, and every later 1 would be written as its text
+    for memo in (models._write_number, models._write_subset, models._write_pair):
+        memo.cache_clear()
+    valid = {model: models.parse(model, ORDER3_CELLS[model][(2, 2)]) for model in MODEL_NAMES}
+    builds = [partial(type(o), o.n, _with_ones_as(o[2], one)) for o in valid.values()]
+    builds += [partial(type(o), one, o[2])
+               for o in (next(models.enumerate_model(model, 1)) for model in MODEL_NAMES)]
+    builds.append(partial(maps.embed_permutation, (2, one, 3)))
+    for build in builds:
+        try:
+            built = build()
+        except ModelError:
+            continue
+        models.serialize(built)
+    for model, obj in valid.items():
+        texts = ORDER3_CELLS[model]
+        assert models.serialize(obj) == texts[2, 2]
+        assert [text for text, _ in models.listing(model, 3)] == sorted(texts.values())
 
 
 @pytest.mark.parametrize(

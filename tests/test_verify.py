@@ -233,7 +233,7 @@ def test_embedding_counts_a_cell_short_of_singletons(monkeypatch, capsys):
     real = models._ENUMERATORS["settuple"]
     dropped = models.parse("settuple", "1;2;3")
     monkeypatch.setitem(models._ENUMERATORS, "settuple",
-                        lambda n: (s for s in real(n) if s != dropped))
+                        lambda n: (pair for pair in real(n) if pair[1] != dropped))
     failed = failed_checks(run_suite(3, 0))
     assert failed[("permutation-embedding", "settuple", 3)] == (
         "expected 6 singleton tuples, got 5")
@@ -328,13 +328,13 @@ def test_suite_reports_invalid_images_of_a_whole_family(monkeypatch, capsys):
 def test_suite_reports_an_invalid_enumerated_object(monkeypatch, capsys, model, cls, data,
                                                     text):
     # the enumerators build unvalidated objects too; this one replaces the
-    # first of its order-3 cell, and parse refuses it
+    # first of its order-3 cell, text and object, and parse refuses it
     real = models._ENUMERATORS[model]
     bad = models._trusted(cls, 3, data)
 
     def sabotaged(n):
-        objs = list(real(n))
-        return [bad] + objs[1:] if n == 3 else objs
+        pairs = list(real(n))
+        return [(text, bad)] + pairs[1:] if n == 3 else pairs
 
     monkeypatch.setitem(models._ENUMERATORS, model, sabotaged)
     failed = failed_checks(run_suite(3, 0))
