@@ -47,22 +47,24 @@ Canonical serializations (ASCII, no trailing whitespace):
 
 Each family states its rule once, as a step function: given a step i and a
 state that keeps only what the later choices read, it lists the legal
-choices of the i-th component in text order, each after its fragment (the
-text it adds: the component's text and the separator) and with the state
-it leaves.  The state is the used values for pd2n, the column loads for
-dellac, I_{i-1} for chain, the covered values for hetyei, and for settuple
-one bit a value: before step j, bit v says for v < j that v has one
-occurrence still to come, and for v >= j that v has occurred.  The chain
-rule is its one choice: I_i is I_{i-1} without i plus i - #(I_{i-1} minus
-{i}) values from outside that base.
+choices of the i-th component, in any order, each with the state it
+leaves; a rule writes no text.  The state is the used values for pd2n, the
+column loads for dellac, I_{i-1} for chain, the covered values for hetyei,
+and for settuple one bit a value: before step j, bit v says for v < j that
+v has one occurrence still to come, and for v >= j that v has occurred.
+The chain rule is its one choice: I_i is I_{i-1} without i plus i -
+#(I_{i-1} minus {i}) values from outside that base.
 
-Enumeration walks the rule depth first and remembers the choices of the
-(step, state) pairs it met last, fragments included, in a memo of bounded
-size (_STEP_MEMO_SIZE pairs, least recently used dropped first).  The walk
-carries the text of its prefix down, so listing yields each object exactly
-once as the pair (its canonical serialization, the object), written from
-the fragments without serializing the object again; enumerate_model yields
-the objects of the same walk.  Both are lazy iterators, ordered
+Enumeration walks the rule depth first.  Its memoized step is the one
+place that knows text order: it writes the fragment of each choice (the
+text it adds: the component's text and the separator) and sorts the
+choices by it, and it remembers the sorted choices of the (step, state)
+pairs it met last in a memo of bounded size (_STEP_MEMO_SIZE pairs, least
+recently used dropped first).  The walk carries the text of its prefix
+down, so listing yields each object exactly once as the pair (its
+canonical serialization, the object), written from the fragments without
+serializing the object again; enumerate_model yields the objects of the
+same walk.  Both are lazy iterators, ordered
 lexicographically by the serialization, in memory that does not grow with
 the count.  Orders beyond a resource guard (default n <= 8, overridable)
 are refused at the call, before any object is built.  Enumerators are
@@ -109,6 +111,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import chain, combinations
 from operator import gt, itemgetter, lt
+from sys import intern
 from typing import Iterator
 
 from .triangles import normalized_genocchi
@@ -755,35 +758,17 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 #
 #   size  the number of components of an object (its data tuple), chosen one
 #         at a time at the steps i = 0 .. size - 1;
-#   step  step(i, state) -> [(fragment, component, next state), ...]: the
-#         legal choices at step i after a prefix that left the state, each
-#         after its fragment, the text it adds (see Text order), in text
+#   step  step(i, state) -> [(component, next state), ...]: the legal
+#         choices at step i after a prefix that left the state, in any
 #         order.  The state is an int, 0 before step 0, and keeps only what
 #         the later choices read;
 #   mark  mark(i, component) -> (k or 0, l or 0): the statistics the choice
 #         fixes.  hetyei has none, since its k is fixed by the redundancy
 #         chain, which runs from the last position down.
 #
-# _walk lists the objects by the rule, and writes their texts from its
-# fragments, and _tally counts them by it, so a listing and a table read
-# the same choices.
-#
-# Text order: at every step the choices come in the string order of the
-# text fragment a choice adds, that is the component's text, written by the
-# family's writer, and its separator ("v " for pd2n and dellac, "a,b;" for
-# chain and settuple, "u,v;" for hetyei).  The separator occurs nowhere else
-# in a fragment, so no fragment is a prefix of another and fragment order is
-# the order of whole serializations ("10" < "2", "1,3;" < "1;").  The last
-# component, written without its separator, is forced by the earlier ones,
-# or for hetyei is always "u,n", so the same holds there.
-
-
-def _fragment_writer(cls):
-    """The fragment of a component of family cls: its text, by the family's
-    writer, and the family's separator.  A rule whose steps offer the same
-    component makes its fragment once, so one string serves every step."""
-    write, sep = cls._write, cls._sep
-    return lambda component: write(component) + sep
+# A rule writes no text and decides no order: _walk lists the objects by
+# the rule, in text order, and writes their texts, and _tally counts them
+# by it, so a listing and a table read the same choices.
 
 
 def _dumont_rule(n: int):
@@ -792,17 +777,12 @@ def _dumont_rule(n: int):
     # once its mate v - 1 is used (normalization): of the bits tested[v], of
     # v and its mate, exactly needed[v], the mate's, are set
     m = 2 * n + 2
-    texts = list(map(_fragment_writer(DumontPermutation), range(m + 1)))
-    candidates = [
-        sorted(range(p + 1, m + 1) if p % 2 else range(1, p), key=texts.__getitem__)
-        for p in range(1, m + 1)
-    ]
+    candidates = [range(p + 1, m + 1) if p % 2 else range(1, p) for p in range(1, m + 1)]
     needed = [1 << v - 1 if v % 2 and v > 1 else 0 for v in range(m + 1)]
     tested = [1 << v | needed[v] for v in range(m + 1)]
 
     def step(i, used):
-        return [(texts[v], v, used | 1 << v) for v in candidates[i]
-                if used & tested[v] == needed[v]]
+        return [(v, used | 1 << v) for v in candidates[i] if used & tested[v] == needed[v]]
 
     def mark(i, v):
         # k = sigma(1) / 2, l = (sigma(2n+2) - 1) / 2
@@ -816,11 +796,7 @@ def _dellac_rule(n: int):
     # with c <= r <= c + n that holds fewer than two dots, and column r - n,
     # whose band ends at row r, must then hold two
     rows = 2 * n
-    texts = list(map(_fragment_writer(DellacConfiguration), range(n + 1)))
-    candidates = [
-        sorted(range(max(1, r - n), min(r, n) + 1), key=texts.__getitem__)
-        for r in range(1, rows + 1)
-    ]
+    candidates = [range(max(1, r - n), min(r, n) + 1) for r in range(1, rows + 1)]
 
     def step(i, loads):
         closing = 2 * (i + 1 - n)  # the shift of the loads of column r - n
@@ -830,7 +806,7 @@ def _dellac_rule(n: int):
                 continue
             new = loads + (1 << 2 * c)
             if closing <= 0 or new >> closing & 3 == 2:
-                out.append((texts[c], c, new))
+                out.append((c, new))
         return out
 
     def mark(i, c):
@@ -844,11 +820,10 @@ def _chain_rule(n: int):
     # I_{i-1} as a bit mask, and the rule of the module docstring after the
     # empty I_0
     values = range(1, n + 1)
-    fragment = _fragment_writer(FeiginChain)
 
     def step(i, prev):
         if not i:
-            return [(fragment(()), (), 0)]
+            return [((), 0)]
         base = prev & ~(1 << i)
         inside = [v for v in values if base >> v & 1]
         outside = [v for v in values if not base >> v & 1]
@@ -857,9 +832,7 @@ def _chain_rule(n: int):
         # CPython's free lists
         parts = [tuple(sorted(inside + list(extra)))
                  for extra in combinations(outside, i - len(inside))]
-        choices = [(fragment(part), part, sum([1 << v for v in part])) for part in parts]
-        choices.sort()  # by fragment, since no two are equal
-        return choices
+        return [(part, sum([1 << v for v in part])) for part in parts]
 
     def mark(i, part):
         # the first indices whose sets hold 1 and n
@@ -872,13 +845,9 @@ def _settuple_rule(n: int):
     # the one-bit-a-value mask of the module docstring, which holds the
     # state since a value never has more than one occurrence to come, nor
     # more than one before its own step.  Every step tries the same 1- and
-    # 2-subsets of [n], in text order, each as (fragment, part, its bits,
-    # whether it is a pair)
-    fragment = _fragment_writer(SetTuple)
-    parts = sorted(
-        (fragment(part), part, sum(1 << v for v in part), len(part) == 2)
-        for size in (1, 2) for part in combinations(range(1, n + 1), size)
-    )
+    # 2-subsets of [n], each as (part, its bits, whether it is a pair)
+    parts = [(part, sum(1 << v for v in part), size == 2)
+             for size in (1, 2) for part in combinations(range(1, n + 1), size)]
     values = (1 << n + 1) - 2
 
     def step(i, mask):
@@ -889,7 +858,7 @@ def _settuple_rule(n: int):
         seen = mask >> j & 1
         low = earlier | 1 << j
         out = []
-        for text, part, chosen, pair in parts:
+        for part, chosen, pair in parts:
             # a pair S_j needs one occurrence of j before j, which then is
             # not usable, and one after
             if chosen & ~usable or pair and not seen:
@@ -902,7 +871,7 @@ def _settuple_rule(n: int):
             # the occurrences to come, plus one for each v > j not yet
             # seen, fit the 2 (n - j) places left
             if (new & low).bit_count() + n - j - (new >> j + 1).bit_count() <= 2 * (n - j):
-                out.append((text, part, new))
+                out.append((part, new))
         return out
 
     def mark(i, part):
@@ -917,18 +886,11 @@ def _hetyei_rule(n: int):
     # positions after l = i + 1 hold 2 (n - l) entries and position p may
     # take any value <= p, so by Hall's condition a prefix extends to a full
     # tuple exactly when at most that many values are still uncovered
-    fragment = _fragment_writer(HetyeiTuple)
-    texts = {(u, v): fragment((u, v)) for v in range(1, n + 1) for u in range(1, v + 1)}
-    candidates = [
-        sorted((texts[u, v], (u, v), 1 << u - 1 | 1 << v - 1)
-               for u in range(1, l + 1) for v in range(u, l + 1))
-        for l in range(1, n + 1)
-    ]
-
     def step(i, covered):
-        spare = 2 * (n - 1 - i)
-        return [(text, pair, new) for text, pair, bits in candidates[i]
-                if n - (new := covered | bits).bit_count() <= spare]
+        l = i + 1
+        spare = 2 * (n - l)
+        return [((u, v), new) for v in range(1, l + 1) for u in range(1, v + 1)
+                if n - (new := covered | 1 << u - 1 | 1 << v - 1).bit_count() <= spare]
 
     return n, step, None
 
@@ -945,8 +907,9 @@ _RULES = {
 # the number of (step, state) pairs whose choices a walk remembers, least
 # recently used dropped first.  Sized for pd2n, whose walk meets the most
 # states: with 256 / 384 / 512 pairs its walk, each choice held with its
-# fragment, peaks at 129 / 212-229 / 259 KiB of tracemalloc at order 6, and
-# computes 1.9 / 1.2 / 0.8 M of its 21.6 M step calls at order 8.
+# fragment, peaks at 98-136 / 177-226 / 198-275 KiB of tracemalloc at order
+# 6 (three runs each), and computes 1.9 / 1.2 / 0.8 M of its 21.6 M step
+# calls at order 8.
 _STEP_MEMO_SIZE = 384
 
 
@@ -956,11 +919,29 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
     prefix down, one generator frame a step but the last, whose choices the
     frame of the step before writes and yields."""
     cls = _MODEL_CLASSES[model]
-    write = cls._write
+    write, sep = cls._write, cls._sep
     size, step, _ = _RULES[model](n)
-    children = lru_cache(maxsize=_STEP_MEMO_SIZE)(step)
     acc = [None] * size
     last = size - 1
+
+    # Text order: the choices of a step are taken in the string order of
+    # the fragment a choice adds, that is the component's text, written by
+    # the family's writer, and its separator ("v " for pd2n and dellac,
+    # "a,b;" for chain and settuple, "u,v;" for hetyei).  The separator
+    # occurs nowhere else in a fragment, so no fragment is a prefix of
+    # another and fragment order is the order of whole serializations
+    # ("10" < "2", "1,3;" < "1;").  The last component, written without its
+    # separator, is forced by the earlier ones, or for hetyei is always
+    # "u,n", so the same holds there.
+    @lru_cache(maxsize=_STEP_MEMO_SIZE)
+    def children(i: int, state: int) -> list:
+        # each fragment interned, so the memo holds one string for the
+        # choices of many states that add the same text
+        out = []
+        for c, new in step(i, state):
+            out.append((intern(write(c) + sep), c, new))
+        out.sort()  # by fragment, since no two are equal
+        return out
 
     def extend(i: int, prefix: str, choices: list) -> Iterator:
         j = i + 1
@@ -993,7 +974,7 @@ def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
         for (k, l, state), count in states.items():
             choices = children.get(state)
             if choices is None:
-                choices = children[state] = [(*mark(i, c), new) for _, c, new in step(i, state)]
+                choices = children[state] = [(*mark(i, c), new) for c, new in step(i, state)]
             for mk, ml, new in choices:
                 key = (k or mk, l or ml, new)
                 nxt[key] = nxt.get(key, 0) + count
@@ -1050,9 +1031,17 @@ _TALLIES = {model: partial(_tally, model) for model in _RULES}
 _TALLIES["hetyei"] = _tally_hetyei
 
 
+def _check_order(n: int, name: str = "order") -> None:
+    """Raise ValueError unless n is an int: a bool, float or str would fail
+    deep inside the work, or build an object of a non-int order."""
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an int, got {n!r}")
+
+
 def _check_call(model: str, n: int, limit: int | None) -> None:
     if model not in _ENUMERATORS:
         raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
+    _check_order(n)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     check_enumeration_guard(n, limit)
@@ -1123,8 +1112,10 @@ def check_enumeration_guard(n: int, limit: int | None) -> None:
     """Raise ResourceGuardError when order n is beyond the enumeration guard.
 
     The check does no work proportional to n: the message names the number
-    of objects per family at order n only for n <= 64.
+    of objects per family at order n only for n <= 64.  An order that is
+    not an int raises ValueError.
     """
+    _check_order(n)
     if limit is None or n <= limit:
         return
     cost = (f" (each family has {normalized_genocchi(n):,} objects at that order)"
@@ -1145,6 +1136,7 @@ def hetyei_pair_count(n: int, limit: int | None = DEFAULT_PAIR_COUNT_LIMIT) -> i
     median_genocchi(n).  Guarded (default n <= 5) because the tree grows
     factorially in n.
     """
+    _check_order(n)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if limit is not None and n > limit:

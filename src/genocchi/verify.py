@@ -568,9 +568,12 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
     identities always run over their full ranges (IDENTITY_N and
     DIVISIBILITY_N), which are cheap.  The run is serial and the report
     deterministic.  Invariant violations are reported, not raised.  An
-    order beyond `limit` raises ResourceGuardError before any work starts.
+    order beyond `limit` raises ResourceGuardError, and a max_n or pairs_n
+    that is not an int ValueError, before any work starts.
     """
     models.check_enumeration_guard(max_n, limit)
+    if pairs_n is not None:
+        models._check_order(pairs_n, "pairs_n")
     reports = []
     below: dict[str, _Cell] = {}
     for n in range(1, max_n + 1):

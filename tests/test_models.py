@@ -34,7 +34,7 @@ from genocchi.models import (
     ResourceGuardError,
     SetTuple,
 )
-from genocchi.verify import ORDER3_CELLS
+from genocchi.verify import ORDER3_CELLS, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +301,10 @@ def test_listing_is_the_serialization_of_the_objects(model, n):
 @pytest.mark.parametrize("n", LISTING_ORDERS)
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_fragments_ascend_at_every_state_the_walk_meets(monkeypatch, model, n):
-    # the walk writes its texts from the rule's fragments, and meets them in
-    # text order only if, at each (step, state), they strictly ascend
+    # the walk takes each step's choices in the order of their fragments,
+    # the text a choice adds; that is the order of whole texts only if, at
+    # each (step, state), the fragments are distinct and none is a prefix of
+    # another (in ascending order, a prefix of any would be one of the next)
     rule = models._RULES[model]
     met = []
 
@@ -321,9 +323,9 @@ def test_fragments_ascend_at_every_state_the_walk_meets(monkeypatch, model, n):
     assert met
     cls = models._MODEL_CLASSES[model]
     for choices in met:
-        fragments = [fragment for fragment, _, _ in choices]
+        fragments = sorted(cls._write(c) + cls._sep for c, _ in choices)
         assert strictly_increasing(fragments), fragments
-        assert fragments == [cls._write(c) + cls._sep for _, c, _ in choices]
+        assert not any(b.startswith(a) for a, b in zip(fragments, fragments[1:])), fragments
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -856,7 +858,7 @@ def test_statistics_table_counts_the_enumerated_objects(model, n, objects):
 
 @pytest.mark.parametrize("model", ["pd2n", "dellac", "chain", "settuple"])
 def test_listing_and_table_read_one_rule(monkeypatch, model):
-    # a rule that drops the last choice wherever step 2 offers several
+    # a rule that drops its first choice wherever step 2 offers several
     # changes the listing and the table alike (hetyei's table is tallied
     # from the last position down, apart from its rule)
     n = 5
@@ -868,7 +870,7 @@ def test_listing_and_table_read_one_rule(monkeypatch, model):
 
         def step_without_one(i, state):
             choices = step(i, state)
-            return choices[:-1] if i == 2 and len(choices) > 1 else choices
+            return choices[1:] if i == 2 and len(choices) > 1 else choices
 
         return size, step_without_one, mark
 
@@ -952,6 +954,31 @@ def test_enumeration_guard_does_no_work_at_huge_orders(monkeypatch):
     monkeypatch.setattr(models, "normalized_genocchi", calls.append)
     with pytest.raises(ResourceGuardError, match=r"guard 8; raise"):
         models.enumerate_model("pd2n", 10**6)
+    assert calls == []
+
+
+ORDER_ENTRY_POINTS = {
+    "listing": lambda n: models.listing("pd2n", n),
+    "enumerate_model": lambda n: models.enumerate_model("pd2n", n),
+    "statistics_table": lambda n: models.statistics_table("dellac", n),
+    "check_enumeration_guard": lambda n: models.check_enumeration_guard(n, 8),
+    "hetyei_pair_count": models.hetyei_pair_count,
+    "run_suite max_n": run_suite,
+    "run_suite pairs_n": lambda n: run_suite(2, n),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=repr)
+@pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS)
+def test_an_order_that_is_not_an_int_is_refused_before_any_work(monkeypatch, entry, bad):
+    # True == 1 and 2.0 == 2 would otherwise build objects of order True or
+    # 2.0, and "3" fail deep inside with a TypeError
+    calls = []
+    monkeypatch.setattr(models, "_ENUMERATORS", {m: calls.append for m in MODEL_NAMES})
+    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in MODEL_NAMES})
+    monkeypatch.setattr(models, "normalized_genocchi", calls.append)
+    with pytest.raises(ValueError, match=r"must be an int, got " + re.escape(repr(bad))):
+        ORDER_ENTRY_POINTS[entry](bad)
     assert calls == []
 
 
