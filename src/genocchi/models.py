@@ -55,20 +55,23 @@ v has one occurrence still to come, and for v >= j that v has occurred.
 The chain rule is its one choice: I_i is I_{i-1} without i plus i -
 #(I_{i-1} minus {i}) values from outside that base.
 
-Enumeration walks the rule depth first.  Its memoized step is the one
-place that knows text order: it writes the fragment of each choice (the
-text it adds: the component's text and the separator) and sorts the
-choices by it, and it remembers the sorted choices of the (step, state)
-pairs it met last in a memo of bounded size (_STEP_MEMO_SIZE pairs, least
-recently used dropped first).  The walk carries the text of its prefix
-down, so listing yields each object exactly once as the pair (its
-canonical serialization, the object), written from the fragments without
-serializing the object again; enumerate_model yields the objects of the
-same walk.  Both are lazy iterators, ordered
-lexicographically by the serialization, in memory that does not grow with
-the count.  Orders beyond a resource guard (default n <= 8, overridable)
-are refused at the call, before any object is built.  Enumerators are
-pure, so concurrent or repeated runs agree.
+Enumeration walks the rule depth first, and is the one place that knows
+text order: it writes the fragment of each choice (the text it adds: the
+component's text and the separator) and takes the choices in fragment
+order.  A memo of bounded size keyed by (step, state) keeps, for the states
+met last, either their choices in that order or, for a state with at most
+_BLOCK_SIZE completions, the block of them, each as its text and its
+components; a dead state's block is empty, so while it is remembered it
+costs a lookup and not a walk.  An object below a block costs no step of
+the walk, only one string and one tuple concatenation.  listing yields
+each object exactly once as the pair (its canonical serialization, the
+object), written from the fragments without serializing the object again;
+enumerate_model yields the objects of the same walk.  Both are lazy
+iterators, ordered lexicographically by the serialization, in memory that
+does not grow with the count.  Orders beyond a resource guard (default
+n <= 8, overridable) are refused at the call, before any object is built.
+Enumerators are pure and each walk has its own memo, so concurrent or
+repeated runs agree.
 
 statistics_table gives the joint (k, l) table of a family without building
 its objects.  For pd2n, dellac, chain and settuple it is a forward dynamic
@@ -111,7 +114,6 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import chain, combinations
 from operator import gt, itemgetter, lt
-from sys import intern
 from typing import Iterator
 
 from .triangles import normalized_genocchi
@@ -904,25 +906,46 @@ _RULES = {
 }
 
 
-# the number of (step, state) pairs whose choices a walk remembers, least
-# recently used dropped first.  Sized for pd2n, whose walk meets the most
-# states: with 256 / 384 / 512 pairs its walk, each choice held with its
-# fragment, peaks at 98-136 / 177-226 / 198-275 KiB of tracemalloc at order
-# 6 (three runs each), and computes 1.9 / 1.2 / 0.8 M of its 21.6 M step
-# calls at order 8.
-_STEP_MEMO_SIZE = 384
+# The walk's memo, keyed by (step, state), has one entry a state: a branch,
+# the state's choices, or a block, the state's completions themselves once
+# they number at most _BLOCK_SIZE (an empty block for a dead state).  It
+# holds at most _WALK_MEMO_SIZE choices and completions, each entry counting
+# one more, least recently used dropped first.  Sized for pd2n, whose walk
+# meets the most states: with 768 / 1024 / 1280 it peaks at 206 / 232 / 260
+# KiB of tracemalloc at order 6 and calls its step 2,449 / 1,588 / 1,133
+# times there, 39,689 / 27,787 / 20,908 times at order 7 and 0.76 / 0.56 /
+# 0.44 M times at order 8.
+_BLOCK_SIZE = 8
+_WALK_MEMO_SIZE = 1024
 
 
 def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
     """The order-n objects of the family in text order, each after its
-    text: a depth-first walk of its rule that carries the text of its
-    prefix down, one generator frame a step but the last, whose choices the
-    frame of the step before writes and yields."""
+    text: a depth-first walk of its rule that carries the text and the
+    components of its prefix down, one generator frame a state it walks.
+
+    A frame takes its state's choices in text order.  A choice whose next
+    state has a block adds the block's completions to the prefix, as
+    objects; any other choice is walked in a frame of its own.  A state met
+    for the first time is walked while its completions are collected from
+    its children's blocks, and its memo entry becomes that block, or its
+    choices once the completions outnumber _BLOCK_SIZE; the states of the
+    last step are blocks of their choices.  Frames hand their objects up in
+    lists of at least _BLOCK_SIZE, or fewer before a walk below and at the
+    end, so an object costs no generator resumption a component."""
     cls = _MODEL_CLASSES[model]
     write, sep = cls._write, cls._sep
     size, step, _ = _RULES[model](n)
+    tag, last = cls._tag, size - 1
     acc = [None] * size
-    last = size - 1
+    # the fragment of each component met, one string for every state that
+    # adds it, and "" for the root's
+    fragments: dict = {None: ""}
+    # keyed by state * size + step, one int for the pair (step, state); a
+    # dict keeps its keys in the order they were set, so the first one is
+    # the least recently used
+    memo: dict = {}
+    held = 0  # the choices and completions in the memo, plus its entries
 
     # Text order: the choices of a step are taken in the string order of
     # the fragment a choice adds, that is the component's text, written by
@@ -933,32 +956,68 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
     # ("10" < "2", "1,3;" < "1;").  The last component, written without its
     # separator, is forced by the earlier ones, or for hetyei is always
     # "u,n", so the same holds there.
-    @lru_cache(maxsize=_STEP_MEMO_SIZE)
     def children(i: int, state: int) -> list:
-        # each fragment interned, so the memo holds one string for the
-        # choices of many states that add the same text
-        out = []
-        for c, new in step(i, state):
-            out.append((intern(write(c) + sep), c, new))
-        out.sort()  # by fragment, since no two are equal
-        return out
+        choices = step(i, state)
+        for c, _ in choices:
+            if c not in fragments:
+                fragments[c] = write(c) + sep
+        return sorted(choices, key=lambda choice: fragments[choice[0]])
 
-    def extend(i: int, prefix: str, choices: list) -> Iterator:
+    def remember(key: int, entry) -> None:
+        nonlocal held
+        if len(entry) >= _WALK_MEMO_SIZE:
+            return  # it would drop every other entry and then itself
+        memo[key] = entry
+        held += len(entry) + 1
+        while held > _WALK_MEMO_SIZE:
+            held -= len(memo.pop(next(iter(memo)))) + 1
+
+    def extend(i: int, prefix: str, choices: list, block: list | None):
+        # walk the state at step i whose choices are choices; return its
+        # memo entry: block, which collects the state's completions, or
+        # choices once block is None, as it is from the start for a state
+        # known to have more than a block holds
         j = i + 1
-        for fragment, component, new in choices:
-            acc[i] = component
-            if j < last:
-                if below := children(j, new):  # no frame for a dead end
-                    yield from extend(j, prefix + fragment, below)
+        out = []  # objects not yet yielded
+        for c, new in choices:
+            fragment = fragments[c]
+            acc[i] = c
+            key = new * size + j
+            below = memo.pop(key, None)
+            fresh = below is None  # not met yet, or dropped since
+            if fresh:
+                below = children(j, new)
+                if j == last or not below:  # a block of its choices
+                    below = tuple([(write(d), (d,)) for d, _ in below])
             else:
-                prefix_j = prefix + fragment
-                for _, component_j, _ in children(j, new):
-                    acc[j] = component_j
-                    yield prefix_j + write(component_j), _trusted(cls, n, tuple(acc))
+                memo[key] = below  # now the most recently used
+            if type(below) is list:  # walked in a frame of its own
+                if out:
+                    yield out
+                    out = []
+                below = yield from extend(j, prefix + fragment, below, [] if fresh else None)
+            elif below:  # a block, whose completions follow the prefix
+                text, head = prefix + fragment, tuple(acc[:j])
+                # each object built as _trusted builds it, with no call
+                out += [(text + suffix, _new_tuple(cls, (tag, n, head + comps)))
+                        for suffix, comps in below]
+                if len(out) >= _BLOCK_SIZE:
+                    yield out
+                    out = []
+            if fresh:
+                remember(key, below)
+            if block is not None:
+                if type(below) is list or len(block) + len(below) > _BLOCK_SIZE:
+                    block = None  # more completions than a block holds
+                else:
+                    block += [(fragment + suffix, (c,) + comps) for suffix, comps in below]
+        if out:
+            yield out
+        return choices if block is None else tuple(block)
 
     # from a root choice before step 0, which adds no text and leaves the
     # state 0; its component lands in acc[-1], which the last step overwrites
-    yield from extend(-1, "", [("", None, 0)])
+    return chain.from_iterable(extend(-1, "", [(None, 0)], None))
 
 
 def _tally(model: str, n: int) -> dict[tuple[int, int], int]:

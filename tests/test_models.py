@@ -341,6 +341,36 @@ def test_enumeration_streams_in_bounded_memory(model):
     assert peak < 256 * 1024
 
 
+def test_the_walk_remembers_dead_states(monkeypatch):
+    # most (step, state) pairs of pd2n's walk lead to no object; kept as
+    # empty blocks, and small states as the blocks of their completions,
+    # they are not stepped into again while remembered, so the rule's step
+    # runs at most the 2,733 times of a memo of 384 states' choices alone
+    rule = models._RULES["pd2n"]
+    calls = []
+
+    def recorded(n):
+        size, step, mark = rule(n)
+
+        def step_recorded(i, state):
+            calls.append((i, state))
+            return step(i, state)
+
+        return size, step_recorded, mark
+
+    monkeypatch.setitem(models._RULES, "pd2n", recorded)
+    assert sum(1 for _ in models.listing("pd2n", 6)) == triangles.normalized_genocchi(6)
+    assert len(calls) <= 2733
+
+
+def test_a_high_order_lists_within_the_recursion_limit():
+    # the walk takes one frame a step down its first path, pd2n's 802 at
+    # order 400, which leaves room for the test runner's own frames under
+    # the default limit; the console script prints up to order 494
+    text, obj = next(models.listing("pd2n", 400, limit=None))
+    assert obj.n == 400 and text == obj.serialize()
+
+
 # sha256 of the stdout of `enumerate --model M --n N`, the listing byte for byte
 LISTING_SHA256 = {
     5: {
@@ -982,13 +1012,19 @@ def test_an_order_that_is_not_an_int_is_refused_before_any_work(monkeypatch, ent
     assert calls == []
 
 
-def test_parallel_enumeration_consistency(objects):
-    # enumerators are re-entrant: interleaved generators agree with a
-    # straight run, object for object
-    a = models.enumerate_model("dellac", 4)
-    b = models.enumerate_model("dellac", 4)
-    woven = []
-    for x in a:
-        woven.append(x)
-        woven.append(next(b))
-    assert woven[::2] == woven[1::2] == list(objects("dellac", 4))
+def test_parallel_enumeration_consistency():
+    # enumerators are re-entrant: two listings interleaved, one 777 pairs
+    # ahead of the other, agree with a straight run, pair for pair, and
+    # listings abandoned meanwhile after 1 to 62 pairs (so inside the lists
+    # the walk hands up, as well as between them) change neither
+    for model in MODEL_NAMES:
+        straight = list(models.listing(model, 6))
+        ahead, behind = models.listing(model, 6), models.listing(model, 6)
+        got_ahead, got_behind = list(islice(ahead, 777)), []
+        for k, pair in enumerate(behind):
+            got_behind.append(pair)
+            got_ahead.extend(islice(ahead, 1))
+            if k % 100 == 0:
+                cut = k // 50 + 1
+                assert list(islice(models.listing(model, 6), cut)) == straight[:cut], model
+        assert got_ahead == got_behind == straight, model
