@@ -151,8 +151,9 @@ def _cmd_sequence(args) -> int:
 def _cmd_enumerate(args) -> int:
     # the walk writes each object's text beside it
     pairs = models.listing(args.model, args.n, args.guard)
-    # the first object is built before any output, so an order too deep for
-    # the recursion limit leaves stdout empty in every format
+    # the first object is built before any output, so an order whose first
+    # object runs out of memory leaves stdout empty in every format, with no
+    # lone "[" in json
     pairs = chain((next(pairs),), pairs)
     if args.stats:
         rows = ((text, *models.statistics(o)) for text, o in pairs)
@@ -318,13 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     except models.ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RecursionError:
-        # an enumeration walks its family's rule one frame a component, so
-        # a deep enough order fails at its first object (count's tally
-        # loops over the same rule's steps and does not recurse)
-        print(f"error: the order is too deep for Python's recursion limit "
-              f"({sys.getrecursionlimit()})", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         # the tracebacks hold the failed call's frames, and with them the
         # memory that ran out; free them before anything is printed

@@ -290,7 +290,8 @@ def embed_permutation(word: Sequence[int]) -> SetTuple:
     The image is exactly the set of settuples whose parts are all singletons.
     """
     n = len(word)
-    # ints only: 2.0 or True would pass the comparison but not serialize as a number
-    if any(type(v) is not int for v in word) or sorted(word) != list(range(1, n + 1)):
+    # ints only: 2.0 or True would pass the comparison but not serialize as a
+    # number; and one letter at least, as a settuple has order >= 1
+    if not n or any(type(v) is not int for v in word) or sorted(word) != list(range(1, n + 1)):
         raise ModelInvariantError(f"{tuple(word)} is not a permutation of 1..{n}")
     return _trusted(SetTuple, n, tuple((v,) for v in word))

@@ -58,14 +58,18 @@ The chain rule is its one choice: I_i is I_{i-1} without i plus i -
 Enumeration walks the rule depth first, and is the one place that knows
 text order: it writes the fragment of each choice (the text it adds: the
 component's text and the separator) and takes the choices in fragment
-order.  A memo of bounded size keyed by (step, state) keeps, for the states
-met last, either their choices in that order or, for a state with at most
-_BLOCK_SIZE completions, the block of them, each as its text and its
-components; a dead state's block is empty, so while it is remembered it
-costs a lookup and not a walk.  An object below a block costs no step of
-the walk, only one string and one tuple concatenation.  listing yields
-each object exactly once as the pair (its canonical serialization, the
-object), written from the fragments without serializing the object again;
+order.  The walk is one loop in one generator, which keeps its path in a
+list, one frame for each state it walks from the root down, so it does not
+recurse and an order is bounded by memory and time alone.  A memo of bounded size
+keyed by (step, state) keeps, for the states met last, either their
+choices in that order or, for a state with at most _BLOCK_SIZE
+completions, the block of them, each as its text and its components; a
+dead state's block is empty, so while it is remembered it costs a lookup
+and not a walk.  An object below a block costs no step of the walk, only
+one string and one tuple concatenation, and is yielded as it is built.
+listing yields each object exactly once as the pair (its canonical
+serialization, the object), written from the fragments without
+serializing the object again;
 enumerate_model yields the objects of the same walk.  Both are lazy
 iterators, ordered lexicographically by the serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
@@ -911,28 +915,30 @@ _RULES = {
 # they number at most _BLOCK_SIZE (an empty block for a dead state).  It
 # holds at most _WALK_MEMO_SIZE choices and completions, each entry counting
 # one more, least recently used dropped first.  Sized for pd2n, whose walk
-# meets the most states: with 768 / 1024 / 1280 it peaks at 206 / 232 / 260
-# KiB of tracemalloc at order 6 and calls its step 2,449 / 1,588 / 1,133
-# times there, 39,689 / 27,787 / 20,908 times at order 7 and 0.76 / 0.56 /
-# 0.44 M times at order 8.
+# meets the most states: with 768 / 1024 / 1280 it peaks at 200 / 226 / 255
+# KiB of tracemalloc at order 6 (Python 3.11, in a fresh process after a
+# full collection) and calls its step 2,449 / 1,588 / 1,133 times there,
+# 39,689 / 27,787 / 20,908 times at order 7 and 0.76 / 0.56 / 0.44 M times
+# at order 8.
 _BLOCK_SIZE = 8
 _WALK_MEMO_SIZE = 1024
 
 
 def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
     """The order-n objects of the family in text order, each after its
-    text: a depth-first walk of its rule that carries the text and the
-    components of its prefix down, one generator frame a state it walks.
+    text: a depth-first walk of its rule in one loop, which keeps its path
+    in a list of frames and yields each object as it builds it.
 
-    A frame takes its state's choices in text order.  A choice whose next
-    state has a block adds the block's completions to the prefix, as
-    objects; any other choice is walked in a frame of its own.  A state met
-    for the first time is walked while its completions are collected from
-    its children's blocks, and its memo entry becomes that block, or its
-    choices once the completions outnumber _BLOCK_SIZE; the states of the
-    last step are blocks of their choices.  Frames hand their objects up in
-    lists of at least _BLOCK_SIZE, or fewer before a walk below and at the
-    end, so an object costs no generator resumption a component."""
+    The current frame takes its state's choices in text order.  A choice
+    whose next state has a block yields the block's completions after the
+    prefix, as objects; any other choice pushes the frame on the path and
+    walks the next state in a frame of its own.  A state met for the first
+    time collects its completions from its children's blocks while it is
+    walked; once its choices run out, its memo entry becomes that block, or
+    its choices once the completions outnumber _BLOCK_SIZE, and the walk
+    pops back to its parent.  The states of the last step are blocks of
+    their choices.  The walk does not recurse, so an order is bounded by
+    memory and time, not by the recursion limit."""
     cls = _MODEL_CLASSES[model]
     write, sep = cls._write, cls._sep
     size, step, _ = _RULES[model](n)
@@ -972,16 +978,25 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
         while held > _WALK_MEMO_SIZE:
             held -= len(memo.pop(next(iter(memo)))) + 1
 
-    def extend(i: int, prefix: str, choices: list, block: list | None):
-        # walk the state at step i whose choices are choices; return its
-        # memo entry: block, which collects the state's completions, or
-        # choices once block is None, as it is from the start for a state
-        # known to have more than a block holds
-        j = i + 1
-        out = []  # objects not yet yielded
-        for c, new in choices:
+    # The current frame is the state at step i after the prefix text: its
+    # sorted choices, the iterator rest over them, and block, which collects
+    # the state's completions, or is None, as it is from the start for a
+    # state known to have more than a block holds.  A frame on the path also
+    # keeps the choice that led down from it: its component c, its fragment,
+    # the memo key of the state below and whether that state was fresh.  The
+    # walk starts from a root choice before step 0, which adds no text and
+    # leaves the state 0; its component lands in acc[-1], which the last
+    # step overwrites.  The root's choices become no memo entry, so its
+    # frame keeps None for them.
+    i, prefix, choices, rest, block = -1, "", None, iter([(None, 0)]), None
+    path: list = []
+    while True:
+        choice = next(rest, None)
+        if choice is not None:
+            c, new = choice
             fragment = fragments[c]
             acc[i] = c
+            j = i + 1
             key = new * size + j
             below = memo.pop(key, None)
             fresh = below is None  # not met yet, or dropped since
@@ -992,32 +1007,28 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
             else:
                 memo[key] = below  # now the most recently used
             if type(below) is list:  # walked in a frame of its own
-                if out:
-                    yield out
-                    out = []
-                below = yield from extend(j, prefix + fragment, below, [] if fresh else None)
-            elif below:  # a block, whose completions follow the prefix
+                path.append((i, prefix, choices, rest, block, c, fragment, key, fresh))
+                i, prefix, choices, block = j, prefix + fragment, below, [] if fresh else None
+                rest = iter(choices)
+                continue
+            if below:  # a block, whose completions follow the prefix
                 text, head = prefix + fragment, tuple(acc[:j])
-                # each object built as _trusted builds it, with no call
-                out += [(text + suffix, _new_tuple(cls, (tag, n, head + comps)))
-                        for suffix, comps in below]
-                if len(out) >= _BLOCK_SIZE:
-                    yield out
-                    out = []
-            if fresh:
-                remember(key, below)
-            if block is not None:
-                if type(below) is list or len(block) + len(below) > _BLOCK_SIZE:
-                    block = None  # more completions than a block holds
-                else:
-                    block += [(fragment + suffix, (c,) + comps) for suffix, comps in below]
-        if out:
-            yield out
-        return choices if block is None else tuple(block)
-
-    # from a root choice before step 0, which adds no text and leaves the
-    # state 0; its component lands in acc[-1], which the last step overwrites
-    return chain.from_iterable(extend(-1, "", [(None, 0)], None))
+                for suffix, comps in below:
+                    # built as _trusted builds it, with no call
+                    yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
+        elif path:  # the state's choices ran out: back to its parent
+            below = choices if block is None else tuple(block)
+            i, prefix, choices, rest, block, c, fragment, key, fresh = path.pop()
+        else:
+            return
+        # below is now the memo entry of the state the choice led to
+        if fresh:
+            remember(key, below)
+        if block is not None:
+            if type(below) is list or len(block) + len(below) > _BLOCK_SIZE:
+                block = None  # more completions than a block holds
+            else:
+                block += [(fragment + suffix, (c,) + comps) for suffix, comps in below]
 
 
 def _tally(model: str, n: int) -> dict[tuple[int, int], int]:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import genocchi
 from genocchi import enumerate_model
 from genocchi.models import (
     DellacConfiguration,
@@ -26,6 +29,14 @@ DATA_ATTRIBUTES = {
 def cached_objects(model: str, n: int) -> tuple:
     """Enumerate once per (model, n) for the whole test session."""
     return tuple(enumerate_model(model, n))
+
+
+def package_env() -> dict:
+    """The environment of a fresh interpreter that imports the genocchi
+    under test."""
+    src = str(Path(genocchi.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def rebuilt(obj):

@@ -236,7 +236,7 @@ def test_embed_examples():
     with pytest.raises(ModelInvariantError):
         maps.embed_permutation((2, 2, 1))
     # the word is checked before the image is built unvalidated
-    for word in ((2.0, 1.0), (True,), ("1",)):
+    for word in ((2.0, 1.0), (True,), ("1",), ()):
         with pytest.raises(ModelInvariantError):
             maps.embed_permutation(word)
 

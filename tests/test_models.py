@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import pickle
 import re
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter
 from functools import partial
 from itertools import combinations, islice, permutations, product
@@ -20,7 +22,7 @@ from itertools import combinations, islice, permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import DATA_ATTRIBUTES, cached_objects, rebuilt
+from conftest import DATA_ATTRIBUTES, cached_objects, package_env, rebuilt
 from genocchi import cli, maps, models, triangles
 from genocchi.models import (
     DellacConfiguration,
@@ -328,15 +330,28 @@ def test_fragments_ascend_at_every_state_the_walk_meets(monkeypatch, model, n):
         assert not any(b.startswith(a) for a, b in zip(fragments, fragments[1:])), fragments
 
 
+# the peak of the order-6 walk at its worst: in a fresh interpreter, whose
+# part memos hold nothing yet, and after a full collection, which empties
+# CPython's free lists, so that every tuple and list the walk makes is an
+# allocation tracemalloc sees.  Read without them, pd2n's peak depends on
+# what ran before: 226 KiB so, 202 KiB fresh without the collection and
+# 158 KiB after the rest of this file, on Python 3.11
+PEAK_OF_A_WALK = """
+import gc, sys, tracemalloc
+from genocchi import models
+gc.collect()
+tracemalloc.start()
+count = sum(1 for _ in models.enumerate_model(sys.argv[1], 6))
+print(count, tracemalloc.get_traced_memory()[1])
+"""
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_enumeration_streams_in_bounded_memory(model):
     # a sorted list of the 3,098 order-6 objects takes about 1 MiB
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in models.enumerate_model(model, 6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out = subprocess.run([sys.executable, "-c", PEAK_OF_A_WALK, model], env=package_env(),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    count, peak = map(int, out.split())
     assert count == triangles.normalized_genocchi(6)
     assert peak < 256 * 1024
 
@@ -364,11 +379,16 @@ def test_the_walk_remembers_dead_states(monkeypatch):
 
 
 def test_a_high_order_lists_within_the_recursion_limit():
-    # the walk takes one frame a step down its first path, pd2n's 802 at
-    # order 400, which leaves room for the test runner's own frames under
-    # the default limit; the console script prints up to order 494
-    text, obj = next(models.listing("pd2n", 400, limit=None))
-    assert obj.n == 400 and text == obj.serialize()
+    # the walk does not recurse: pd2n's first path at order 400 is 802 steps
+    # down, yet it lists under a limit 40 frames above the caller's depth
+    depth = len(inspect.stack(0))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        text, obj = next(models.listing("pd2n", 400, limit=None))
+    finally:
+        sys.setrecursionlimit(old)
+    assert obj.n == 400 and text == models.serialize(obj)
 
 
 # sha256 of the stdout of `enumerate --model M --n N`, the listing byte for byte
