@@ -149,20 +149,20 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    # the walk writes each object's text beside it
-    pairs = models.listing(args.model, args.n, args.guard)
+    # the walk writes each object's text beside it, and with --stats its k
+    # and l, folded from the same choices
+    pairs = models.listing(args.model, args.n, args.guard, stats=args.stats)
     # the first object is built before any output, so an order whose first
     # object runs out of memory leaves stdout empty in every format, with no
     # lone "[" in json
     pairs = chain((next(pairs),), pairs)
     if args.stats:
-        rows = ((text, *models.statistics(o)) for text, o in pairs)
         if args.format == "csv":
-            _write_csv(("serialization", "k", "l"), rows)
+            _write_csv(("serialization", "k", "l"), ((text, k, l) for text, _, k, l in pairs))
         elif args.format == "json":
-            _dump_json_list({"serialization": text, "k": k, "l": l} for text, k, l in rows)
+            _dump_json_list({"serialization": text, "k": k, "l": l} for text, _, k, l in pairs)
         else:
-            _write_lines(f"{text}\tk={k} l={l}\n" for text, k, l in rows)
+            _write_lines(f"{text}\tk={k} l={l}\n" for text, _, k, l in pairs)
     elif args.format == "csv":
         _write_csv(("serialization",), ((text,) for text, _ in pairs))
     elif args.format == "json":

@@ -25,7 +25,8 @@ hetyei    pair tuples ({u_1,v_1}, .., {u_n,v_n}) with u_l, v_l in [l] and the
 
 Each family class computes its own k and l, by the definition above, in
 its methods _k and _l; callers read them through k_statistic, l_statistic
-and statistics.  pd2n, dellac and settuple also carry the involutions t
+and statistics, against which the tests check the statistics a listing
+folds (below).  pd2n, dellac and settuple also carry the involutions t
 and r and the order maps reduce and lift, as the methods _t, _r, _reduce
 and _lift; callers apply them through maps.involution_t, involution_r,
 reduce and lift, which check the family and reduce's precondition l = n.
@@ -69,7 +70,11 @@ and not a walk.  An object below a block costs no step of the walk, only
 one string and one tuple concatenation, and is yielded as it is built.
 listing yields each object exactly once as the pair (its canonical
 serialization, the object), written from the fragments without
-serializing the object again;
+serializing the object again, and asked for the statistics, as the
+quadruple (text, object, k, l): the walk folds each family's statistics
+through its frames and blocks, a frame keeping its prefix's summary and a
+block's completion its suffix's, so an object's k and l take one join of
+the two and no statistic is computed from the object.
 enumerate_model yields the objects of the same walk.  Both are lazy
 iterators, ordered lexicographically by the serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
@@ -769,12 +774,15 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 #         order.  The state is an int, 0 before step 0, and keeps only what
 #         the later choices read;
 #   mark  mark(i, component) -> (k or 0, l or 0): the statistics the choice
-#         fixes.  hetyei has none, since its k is fixed by the redundancy
-#         chain, which runs from the last position down.
+#         fixes, or None for hetyei, whose statistics are read from the
+#         last position down: its k is fixed by the redundancy chain.
 #
 # A rule writes no text and decides no order: _walk lists the objects by
 # the rule, in text order, and writes their texts, and _tally counts them
-# by it, so a listing and a table read the same choices.
+# by it, so a listing and a table read the same choices.  Asked for the
+# statistics, the walk folds them through its frames and blocks with a
+# fold of the family: _mark_fold over the marks, or _hetyei_fold, which
+# reads hetyei's from the last position down as its tally does.
 
 
 def _dumont_rule(n: int):
@@ -901,6 +909,96 @@ def _hetyei_rule(n: int):
     return n, step, None
 
 
+# A fold gives the walk each object's (k, l) from two summaries, each kept
+# once for all the objects that share it: a prefix's, which a frame keeps,
+# and a suffix's, which a block keeps beside each completion.  It is the
+# four (root, grow, push, join):
+#
+#   root  the summary of the empty prefix;
+#   grow  grow(i, component, above): the summary of a prefix that ends in
+#         the component at step i, from the summary above of the rest;
+#   push  push(i, component, below): the summary of a suffix that starts
+#         with the component at step i, from the summary below of the rest,
+#         which is (0, 0) for the empty suffix;
+#   join  join(above, below) -> (k, l): the statistics of the object made of
+#         a prefix and a suffix, in O(1).
+#
+# push hands out one tuple for each distinct summary, kept in shared, so
+# the completions in the walk's memo share them: with a tuple each, pd2n's
+# order-6 walk peaked at 252 KiB of tracemalloc, against 231 KiB so.
+
+
+def _mark_fold(mark):
+    # a summary on either side is its first nonzero marks (k or 0, l or 0),
+    # and the prefix's win
+    shared: dict = {}
+
+    def grow(i, c, above):
+        k, l = above
+        if k and l:
+            return above
+        mk, ml = mark(i, c)
+        return k or mk, l or ml
+
+    def push(i, c, below):
+        mk, ml = mark(i, c)
+        summary = mk or below[0], ml or below[1]
+        return shared.setdefault(summary, summary)
+
+    def join(above, below):
+        return above[0] or below[0], above[1] or below[1]
+
+    return (0, 0), grow, push, join
+
+
+def _hetyei_fold(n: int):
+    # The scan of the module docstring runs from position n down, so a
+    # suffix is read first.  Its summary is (k, l): k the statistic where
+    # the scan stops within the suffix, or -c when it leaves the suffix
+    # holding the chain value c, or 0 before position n; l the statistic
+    # of the suffix's last pair holding 1, or 0.  A prefix's summary, of
+    # positions 1 .. p, is a list: item c, for each chain value c <= p the
+    # scan may bring down to p, is the k at which the scan stops in the
+    # prefix, and item 0 is the statistic of the prefix's last pair
+    # holding 1, or 0.  So the suffix's l wins, and the prefix finishes k
+    shared: dict = {}
+
+    def grow(i, pair, above):
+        # one position more: only its pair's values stop the scan here, and
+        # the chain value p steps to u.  Copying the shorter prefix's list
+        # costs less than computing each item on first use, which took a
+        # Python call for nearly every object
+        u, v = pair
+        here = n - i  # the statistic of position p = i + 1
+        scan = above + [here if v == i + 1 else above[u]]
+        scan[u] = scan[v] = here
+        if u == 1:
+            scan[0] = here
+        return scan
+
+    def push(i, pair, below):
+        k, l = below
+        u = pair[0]
+        if not k:  # position n stops the scan only as the pair {n, n}
+            k = 1 if u == n else -u
+        elif k < 0:
+            c = -k
+            if c in pair:
+                k = n - i
+            elif c == i + 1:
+                k = -u
+        summary = k, l or (n - i if u == 1 else 0)
+        return shared.setdefault(summary, summary)
+
+    def join(above, below):
+        k, l = below
+        return k if k > 0 else above[-k], l or above[0]
+
+    # the empty prefix: the scan always stops by position 1, whose pair is
+    # {1, 1}, so it is never asked for a k
+    return [0], grow, push, join
+
+
 _RULES = {
     "pd2n": _dumont_rule,
     "dellac": _dellac_rule,
@@ -924,10 +1022,11 @@ _BLOCK_SIZE = 8
 _WALK_MEMO_SIZE = 1024
 
 
-def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
+def _walk(model: str, n: int, stats: bool = False) -> Iterator[tuple]:
     """The order-n objects of the family in text order, each after its
-    text: a depth-first walk of its rule in one loop, which keeps its path
-    in a list of frames and yields each object as it builds it.
+    text, and with stats followed by its k and l: a depth-first walk of its
+    rule in one loop, which keeps its path in a list of frames and yields
+    each object as it builds it.
 
     The current frame takes its state's choices in text order.  A choice
     whose next state has a block yields the block's completions after the
@@ -938,11 +1037,18 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
     its choices once the completions outnumber _BLOCK_SIZE, and the walk
     pops back to its parent.  The states of the last step are blocks of
     their choices.  The walk does not recurse, so an order is bounded by
-    memory and time, not by the recursion limit."""
+    memory and time, not by the recursion limit.
+
+    With stats, each frame also keeps its prefix's summary and each
+    completion of a block its suffix's, both by the family's fold, and an
+    object's k and l are the join of the two: no object is scanned."""
     cls = _MODEL_CLASSES[model]
     write, sep = cls._write, cls._sep
-    size, step, _ = _RULES[model](n)
+    size, step, mark = _RULES[model](n)
     tag, last = cls._tag, size - 1
+    at = None
+    if stats:
+        at, grow, push, join = _hetyei_fold(n) if mark is None else _mark_fold(mark)
     acc = [None] * size
     # the fragment of each component met, one string for every state that
     # adds it, and "" for the root's
@@ -981,13 +1087,13 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
     # The current frame is the state at step i after the prefix text: its
     # sorted choices, the iterator rest over them, and block, which collects
     # the state's completions, or is None, as it is from the start for a
-    # state known to have more than a block holds.  A frame on the path also
-    # keeps the choice that led down from it: its component c, its fragment,
-    # the memo key of the state below and whether that state was fresh.  The
-    # walk starts from a root choice before step 0, which adds no text and
-    # leaves the state 0; its component lands in acc[-1], which the last
-    # step overwrites.  The root's choices become no memo entry, so its
-    # frame keeps None for them.
+    # state known to have more than a block holds; with stats, at is the
+    # summary of the prefix.  A frame on the path also keeps the choice that
+    # led down from it: its component c, its fragment, the memo key of the
+    # state below and whether that state was fresh.  The walk starts from a
+    # root choice before step 0, which adds no text and leaves the state 0;
+    # its component lands in acc[-1], which the last step overwrites.  The
+    # root's choices become no memo entry, so its frame keeps None for them.
     i, prefix, choices, rest, block = -1, "", None, iter([(None, 0)]), None
     path: list = []
     while True:
@@ -1003,22 +1109,31 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
             if fresh:
                 below = children(j, new)
                 if j == last or not below:  # a block of its choices
-                    below = tuple([(write(d), (d,)) for d, _ in below])
+                    below = (tuple([(write(d), (d,), push(j, d, (0, 0))) for d, _ in below])
+                             if stats else tuple([(write(d), (d,)) for d, _ in below]))
             else:
                 memo[key] = below  # now the most recently used
+            # with stats, the summary of the prefix that ends in the choice;
+            # the root's choice adds nothing to the empty prefix
+            above = grow(i, c, at) if stats and below and i >= 0 else at
             if type(below) is list:  # walked in a frame of its own
-                path.append((i, prefix, choices, rest, block, c, fragment, key, fresh))
+                path.append((i, prefix, choices, rest, block, at, c, fragment, key, fresh))
                 i, prefix, choices, block = j, prefix + fragment, below, [] if fresh else None
-                rest = iter(choices)
+                rest, at = iter(choices), above
                 continue
             if below:  # a block, whose completions follow the prefix
                 text, head = prefix + fragment, tuple(acc[:j])
-                for suffix, comps in below:
-                    # built as _trusted builds it, with no call
-                    yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
+                if stats:
+                    for suffix, comps, summary in below:
+                        yield (text + suffix, _new_tuple(cls, (tag, n, head + comps)),
+                               *join(above, summary))
+                else:
+                    for suffix, comps in below:
+                        # built as _trusted builds it, with no call
+                        yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
         elif path:  # the state's choices ran out: back to its parent
             below = choices if block is None else tuple(block)
-            i, prefix, choices, rest, block, c, fragment, key, fresh = path.pop()
+            i, prefix, choices, rest, block, at, c, fragment, key, fresh = path.pop()
         else:
             return
         # below is now the memo entry of the state the choice led to
@@ -1027,6 +1142,9 @@ def _walk(model: str, n: int) -> Iterator[tuple[str, ModelObject]]:
         if block is not None:
             if type(below) is list or len(block) + len(below) > _BLOCK_SIZE:
                 block = None  # more completions than a block holds
+            elif stats:
+                block += [(fragment + suffix, (c,) + comps, push(i, c, summary))
+                          for suffix, comps, summary in below]
             else:
                 block += [(fragment + suffix, (c,) + comps) for suffix, comps in below]
 
@@ -1117,8 +1235,8 @@ def _check_call(model: str, n: int, limit: int | None) -> None:
     check_enumeration_guard(n, limit)
 
 
-def listing(model: str, n: int,
-            limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> Iterator[tuple[str, ModelObject]]:
+def listing(model: str, n: int, limit: int | None = DEFAULT_ENUMERATION_LIMIT,
+            stats: bool = False) -> Iterator[tuple]:
     """All order-n objects of the named family, each as the pair (its
     serialization, the object), as a lazy iterator in canonical order.
 
@@ -1130,11 +1248,20 @@ def listing(model: str, n: int,
     object is built: orders beyond `limit` raise ResourceGuardError (pass a
     larger limit, or None, to override).
 
+    With stats=True each object comes with its statistics, as the quadruple
+    (its serialization, the object, k, l), where (k, l) equals
+    statistics(object): the walk folds them from the same choices, with
+    no statistic computed per object.
+
     >>> next(listing("hetyei", 3))
     ('1,1;1,1;2,3', HetyeiTuple(n=3, pairs=((1, 1), (1, 1), (2, 3))))
+    >>> next(listing("hetyei", 3, stats=True))
+    ('1,1;1,1;2,3', HetyeiTuple(n=3, pairs=((1, 1), (1, 1), (2, 3))), 3, 2)
     """
     _check_call(model, n, limit)
-    return _ENUMERATORS[model](n)
+    # an enumerator takes the keyword only when asked for the statistics
+    enumerator = _ENUMERATORS[model]
+    return enumerator(n, stats=True) if stats else enumerator(n)
 
 
 def enumerate_model(model: str, n: int,

@@ -302,6 +302,30 @@ def test_listing_is_the_serialization_of_the_objects(model, n):
 
 @pytest.mark.parametrize("n", LISTING_ORDERS)
 @pytest.mark.parametrize("model", MODEL_NAMES)
+def test_the_walk_folds_the_statistics_of_each_object(model, n):
+    # the listing with stats is the listing, each object followed by the
+    # (k, l) its walk folds, which must be statistics(object); their Counter
+    # is then the tally's table
+    rows = list(models.listing(model, n, stats=True))
+    assert [(text, obj) for text, obj, _, _ in rows] == list(models.listing(model, n))
+    for text, obj, k, l in rows:
+        assert (k, l) == models.statistics(obj), text
+    assert Counter((k, l) for _, _, k, l in rows) == models.statistics_table(model, n)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_the_walk_folds_the_statistics_through_larger_blocks(monkeypatch, model):
+    # blocks of 64 completions hold longer suffixes: in hetyei's, the scan
+    # for k can stop inside the suffix, which no object yielded from blocks
+    # of 8 shows through order 7
+    monkeypatch.setattr(models, "_BLOCK_SIZE", 64)
+    for n in range(1, 7):
+        for text, obj, k, l in models.listing(model, n, stats=True):
+            assert (k, l) == models.statistics(obj), text
+
+
+@pytest.mark.parametrize("n", LISTING_ORDERS)
+@pytest.mark.parametrize("model", MODEL_NAMES)
 def test_fragments_ascend_at_every_state_the_walk_meets(monkeypatch, model, n):
     # the walk takes each step's choices in the order of their fragments,
     # the text a choice adds; that is the order of whole texts only if, at
@@ -335,23 +359,40 @@ def test_fragments_ascend_at_every_state_the_walk_meets(monkeypatch, model, n):
 # CPython's free lists, so that every tuple and list the walk makes is an
 # allocation tracemalloc sees.  Read without them, pd2n's peak depends on
 # what ran before: 226 KiB so, 202 KiB fresh without the collection and
-# 158 KiB after the rest of this file, on Python 3.11
+# 158 KiB after the rest of this file, on Python 3.11.  With a second
+# argument "stats" the snippet reads the walk that folds the statistics
 PEAK_OF_A_WALK = """
 import gc, sys, tracemalloc
 from genocchi import models
 gc.collect()
 tracemalloc.start()
-count = sum(1 for _ in models.enumerate_model(sys.argv[1], 6))
+walk = (models.listing(sys.argv[1], 6, stats=True) if sys.argv[2:] == ["stats"]
+        else models.enumerate_model(sys.argv[1], 6))
+count = sum(1 for _ in walk)
 print(count, tracemalloc.get_traced_memory()[1])
 """
+
+
+def peak_of_a_walk(*argv):
+    """The count and the tracemalloc peak of PEAK_OF_A_WALK's order-6 walk."""
+    out = subprocess.run([sys.executable, "-c", PEAK_OF_A_WALK, *argv], env=package_env(),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return map(int, out.split())
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_enumeration_streams_in_bounded_memory(model):
     # a sorted list of the 3,098 order-6 objects takes about 1 MiB
-    out = subprocess.run([sys.executable, "-c", PEAK_OF_A_WALK, model], env=package_env(),
-                         capture_output=True, text=True, check=True, timeout=60).stdout
-    count, peak = map(int, out.split())
+    count, peak = peak_of_a_walk(model)
+    assert count == triangles.normalized_genocchi(6)
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_the_stats_listing_streams_in_bounded_memory(model):
+    # the same bound: a block's completions keep their suffix's summary
+    # beside them, one shared tuple for each distinct summary
+    count, peak = peak_of_a_walk(model, "stats")
     assert count == triangles.normalized_genocchi(6)
     assert peak < 256 * 1024
 
@@ -933,8 +974,11 @@ def test_listing_and_table_read_one_rule(monkeypatch, model):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [8, 9, 10])
 def test_statistics_tables_beyond_enumeration(n):
+    # the paper's extension to the Kreweras triangle, at orders that no
+    # enumeration reaches: the five joint tables agree, and both marginals
+    # are the Kreweras row, which comes from triangles alone
     tables = [models.statistics_table(m, n, limit=None) for m in MODEL_NAMES]
     assert all(table == tables[0] for table in tables)
     table = tables[0]
