@@ -83,12 +83,12 @@ Enumerators are pure and each walk has its own memo, so concurrent or
 repeated runs agree.
 
 statistics_table gives the joint (k, l) table of a family without building
-its objects.  For pd2n, dellac, chain and settuple it is a forward dynamic
-programme over the same rule, whose state is the rule's plus k and l once a
-choice fixes them.  hetyei's k is fixed by the redundancy chain, which runs
-down from position n, so its table is tallied from the last position down,
-over the covered values and the chain.  At order 8 a table takes
-milliseconds where enumeration takes seconds; the same guard applies to it.
+its objects.  It counts over the same rule as the walk, the same way for
+every family: forward, the states each step reaches, then backward from
+the last step, each state's completions by their suffix's summary, the
+summary the walk's blocks keep, built by the same fold.  At the root a
+summary is (k, l).  At order 8 a table takes milliseconds where
+enumeration takes seconds; the same guard applies to it.
 
 Objects are immutable, hashable tuples (tag, n, data): the tag is a small
 int per family, so objects of two families never compare equal, and the
@@ -633,6 +633,9 @@ class HetyeiTuple(ModelObject):
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(pairs) != n:
             raise ModelInvariantError(f"need {n} pairs for order {n}, got {len(pairs)}")
+        if {*map(len, pairs)} != {2}:
+            l, pair = next((l, pair) for l, pair in enumerate(pairs, 1) if len(pair) != 2)
+            raise ModelInvariantError(f"pair {l} has size {len(pair)}, expected 2")
         covered = 0  # bit x set once value x is an entry
         for l, (u, v) in enumerate(pairs, 1):
             if u > v:
@@ -765,7 +768,7 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 # enumeration and tallies
 #
 # Each family states its rule once, as a function of the order n that
-# returns (size, step, mark):
+# returns (size, step, fold):
 #
 #   size  the number of components of an object (its data tuple), chosen one
 #         at a time at the steps i = 0 .. size - 1;
@@ -773,16 +776,17 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 #         choices at step i after a prefix that left the state, in any
 #         order.  The state is an int, 0 before step 0, and keeps only what
 #         the later choices read;
-#   mark  mark(i, component) -> (k or 0, l or 0): the statistics the choice
-#         fixes, or None for hetyei, whose statistics are read from the
-#         last position down: its k is fixed by the redundancy chain.
+#   fold  how the choices make the statistics k and l (below): _mark_fold
+#         over mark(i, component) -> (k or 0, l or 0), the statistics a
+#         choice fixes, or for hetyei _hetyei_fold, which reads them from
+#         the last position down, as its k is fixed by the redundancy chain.
 #
 # A rule writes no text and decides no order: _walk lists the objects by
 # the rule, in text order, and writes their texts, and _tally counts them
 # by it, so a listing and a table read the same choices.  Asked for the
-# statistics, the walk folds them through its frames and blocks with a
-# fold of the family: _mark_fold over the marks, or _hetyei_fold, which
-# reads hetyei's from the last position down as its tally does.
+# statistics, the walk folds them through its frames and blocks with the
+# rule's fold, and _tally counts each state's completions by the summaries
+# that fold gives their suffixes.
 
 
 def _dumont_rule(n: int):
@@ -802,7 +806,7 @@ def _dumont_rule(n: int):
         # k = sigma(1) / 2, l = (sigma(2n+2) - 1) / 2
         return v // 2 if i == 0 else 0, (v - 1) // 2 if i == m - 1 else 0
 
-    return m, step, mark
+    return m, step, _mark_fold(mark)
 
 
 def _dellac_rule(n: int):
@@ -827,7 +831,7 @@ def _dellac_rule(n: int):
         # k = c_{n+1}, l = c_n
         return c if i == n else 0, c if i == n - 1 else 0
 
-    return rows, step, mark
+    return rows, step, _mark_fold(mark)
 
 
 def _chain_rule(n: int):
@@ -852,7 +856,7 @@ def _chain_rule(n: int):
         # the first indices whose sets hold 1 and n
         return i if 1 in part else 0, i if n in part else 0
 
-    return n + 1, step, mark
+    return n + 1, step, _mark_fold(mark)
 
 
 def _settuple_rule(n: int):
@@ -892,7 +896,7 @@ def _settuple_rule(n: int):
         # the steps whose sets hold 1 and n
         return i + 1 if 1 in part else 0, i + 1 if n in part else 0
 
-    return n, step, mark
+    return n, step, _mark_fold(mark)
 
 
 def _hetyei_rule(n: int):
@@ -906,13 +910,14 @@ def _hetyei_rule(n: int):
         return [((u, v), new) for v in range(1, l + 1) for u in range(1, v + 1)
                 if n - (new := covered | 1 << u - 1 | 1 << v - 1).bit_count() <= spare]
 
-    return n, step, None
+    return n, step, _hetyei_fold(n)
 
 
 # A fold gives the walk each object's (k, l) from two summaries, each kept
 # once for all the objects that share it: a prefix's, which a frame keeps,
-# and a suffix's, which a block keeps beside each completion.  It is the
-# four (root, grow, push, join):
+# and a suffix's, which a block keeps beside each completion; _tally counts
+# each state's completions by the suffix's alone.  It is the four (root,
+# grow, push, join):
 #
 #   root  the summary of the empty prefix;
 #   grow  grow(i, component, above): the summary of a prefix that ends in
@@ -1044,11 +1049,8 @@ def _walk(model: str, n: int, stats: bool = False) -> Iterator[tuple]:
     object's k and l are the join of the two: no object is scanned."""
     cls = _MODEL_CLASSES[model]
     write, sep = cls._write, cls._sep
-    size, step, mark = _RULES[model](n)
+    size, step, (at, grow, push, join) = _RULES[model](n)
     tag, last = cls._tag, size - 1
-    at = None
-    if stats:
-        at, grow, push, join = _hetyei_fold(n) if mark is None else _mark_fold(mark)
     acc = [None] * size
     # the fragment of each component met, one string for every state that
     # adds it, and "" for the root's
@@ -1150,64 +1152,36 @@ def _walk(model: str, n: int, stats: bool = False) -> Iterator[tuple]:
 
 
 def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
-    """The (k, l) table of the family: a forward dynamic programme over its
-    rule, whose state after step i is (k, l, the rule's state), k and l 0
-    until a choice marks them."""
-    size, step, mark = _RULES[model](n)
-    states = {(0, 0, 0): 1}
+    """The (k, l) table of the family, counted over its rule in two passes.
+
+    Forward, the states each step reaches, each with its choices, so the
+    rule's step runs once for each (step, state).  Backward from the last
+    step, each state's completions counted by their suffix's summary, which
+    the fold's push builds from the choice and the rest of the suffix: a
+    state after the last step has one completion, the empty suffix, whose
+    summary is (0, 0), as for a leaf block's completions in the walk.  The
+    root's completions are whole objects, so the join with the empty prefix
+    turns their summaries into their (k, l)."""
+    size, step, (root, _, push, join) = _RULES[model](n)
+    levels = []
+    states = {0}
     for i in range(size):
-        # the marked choices of each rule state, computed once a step
-        children: dict[int, list[tuple[int, int, int]]] = {}
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (k, l, state), count in states.items():
-            choices = children.get(state)
-            if choices is None:
-                choices = children[state] = [(*mark(i, c), new) for c, new in step(i, state)]
-            for mk, ml, new in choices:
-                key = (k or mk, l or ml, new)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return _joint(states)
-
-
-def _tally_hetyei(n: int) -> dict[tuple[int, int], int]:
-    # the enumerator's pairs, walked from position n down to 1, where k and
-    # l are the first positions to meet: the largest redundant one sits at
-    # n-k+1 and the last one holding 1 at n-l+1.  A state is (k, l, covered,
-    # chain) before position p: covered has bit x for each value x <= p an
-    # entry of the pairs after p (all values above p must be), and chain is
-    # the largest redundancy-chain value <= p, or 0 once k is fixed (the
-    # chain ends at the latest at its last value, which is redundant).
-    states = {(0, 0, 0, n): 1}
-    for p in range(n, 0, -1):
-        nxt: dict[tuple[int, int, int, int], int] = {}
-        for (k, l, covered, chain), count in states.items():
-            for u in range(1, p + 1):
-                for v in range(u, p + 1):
-                    new = covered | 1 << u | 1 << v
-                    if not new >> p & 1:
-                        continue  # no position below p holds the value p
-                    nk, nc = k, chain
-                    if chain == p:
-                        # a chain value, redundant when its pair is {p, p}
-                        # or, below n, holds p; else u is the next one
-                        if v == p and (u == p or p < n):
-                            nk, nc = n + 1 - p, 0
-                        else:
-                            nc = u
-                    elif chain and chain in (u, v):  # holds the chain value below p
-                        nk, nc = n + 1 - p, 0
-                    key = (nk, l or (n + 1 - p) * (u == 1), new ^ 1 << p, nc)
-                    nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return _joint(states)
-
-
-def _joint(states: dict) -> dict[tuple[int, int], int]:
-    """The (k, l) table of a tally's final states, keyed by (k, l, ...)."""
+        levels.append({state: step(i, state) for state in states})
+        states = {new for choices in levels[-1].values() for _, new in choices}
+    below = dict.fromkeys(states, {(0, 0): 1})
+    for i in reversed(range(size)):
+        counts = {}
+        for state, choices in levels.pop().items():
+            here = counts[state] = {}
+            for c, new in choices:
+                for summary, count in below[new].items():
+                    key = push(i, c, summary)
+                    here[key] = here.get(key, 0) + count
+        below = counts
     table: dict[tuple[int, int], int] = {}
-    for (k, l, *_), count in states.items():
-        table[k, l] = table.get((k, l), 0) + count
+    for summary, count in below[0].items():
+        kl = join(root, summary)
+        table[kl] = table.get(kl, 0) + count
     return dict(sorted(table.items()))
 
 
@@ -1216,7 +1190,6 @@ def _joint(states: dict) -> dict[tuple[int, int], int]:
 # reaches both
 _ENUMERATORS = {model: partial(_walk, model) for model in _RULES}
 _TALLIES = {model: partial(_tally, model) for model in _RULES}
-_TALLIES["hetyei"] = _tally_hetyei
 
 
 def _check_order(n: int, name: str = "order") -> None:
@@ -1276,11 +1249,12 @@ def statistics_table(model: str, n: int,
                      limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> dict[tuple[int, int], int]:
     """The joint table {(k, l): number of order-n objects} of the named family.
 
-    Tallied by a dynamic programme over the family's rule (for hetyei, from
-    the last position down), which keeps only what constrains the later
-    choices, plus k and l once fixed, so no object is built.  Equal to the Counter of statistics over
-    enumerate_model(model, n), keys ascending.  The model, the order and
-    the guard are checked at the call as enumerate_model checks them.
+    Tallied over the family's rule, whose states keep only what constrains
+    the later choices, by counting each state's completions by the summary
+    of their statistics that the walk folds, so no object is built.  Equal
+    to the Counter of statistics over enumerate_model(model, n), keys
+    ascending.  The model, the order and the guard are checked at the call
+    as enumerate_model checks them.
 
     >>> statistics_table("dellac", 3)
     {(1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 2): 1, (2, 3): 1, (3, 1): 1, (3, 2): 1}

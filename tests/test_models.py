@@ -253,6 +253,10 @@ INVARIANT_MESSAGES = [
     (FeiginChain, 2, ((), (1,), (3,)), "subset 2 has values outside 1..2"),
     (FeiginChain, 2, ((), (0, 1), (1, 2)), "subset 1 has values outside 1..2"),
     (FeiginChain, 2, ((), (1,), (2,)), "subset 2 has size 1, expected 2"),
+    # a pair of the wrong size, which parse never builds
+    (HetyeiTuple, 1, ((1,),), "pair 1 has size 1, expected 2"),
+    (HetyeiTuple, 1, ((1, 1, 1),), "pair 1 has size 3, expected 2"),
+    (HetyeiTuple, 1, ((),), "pair 1 has size 0, expected 2"),
 ]
 
 
@@ -947,11 +951,10 @@ def test_statistics_table_counts_the_enumerated_objects(model, n, objects):
     assert models.statistics_table(model, n) == expected
 
 
-@pytest.mark.parametrize("model", ["pd2n", "dellac", "chain", "settuple"])
+@pytest.mark.parametrize("model", MODEL_NAMES)
 def test_listing_and_table_read_one_rule(monkeypatch, model):
     # a rule that drops its first choice wherever step 2 offers several
-    # changes the listing and the table alike (hetyei's table is tallied
-    # from the last position down, apart from its rule)
+    # changes the listing and the table alike
     n = 5
     table = models.statistics_table(model, n)
     rule = models._RULES[model]
