@@ -86,9 +86,13 @@ statistics_table gives the joint (k, l) table of a family without building
 its objects.  It counts over the same rule as the walk, the same way for
 every family: forward, the states each step reaches, then backward from
 the last step, each state's completions by their suffix's summary, the
-summary the walk's blocks keep, built by the same fold.  At the root a
-summary is (k, l).  At order 8 a table takes milliseconds where
-enumeration takes seconds; the same guard applies to it.
+summary the walk's blocks keep, built by the same fold.  The fold moves a
+state's table of counts whole through each choice (its carry): a choice
+that marks nothing adds the table as it is, one that sets both k and l
+adds its total under one key, and no mark is asked twice for the same
+step and component.  At the root a summary is (k, l).  At order 8 a table
+takes milliseconds where enumeration takes seconds; the same guard
+applies to it.
 
 Objects are immutable, hashable tuples (tag, n, data): the tag is a small
 int per family, so objects of two families never compare equal, and the
@@ -786,7 +790,7 @@ def redundant_positions(m: HetyeiTuple) -> frozenset[int]:
 # by it, so a listing and a table read the same choices.  Asked for the
 # statistics, the walk folds them through its frames and blocks with the
 # rule's fold, and _tally counts each state's completions by the summaries
-# that fold gives their suffixes.
+# that fold gives their suffixes, carrying each table of counts whole.
 
 
 def _dumont_rule(n: int):
@@ -916,21 +920,38 @@ def _hetyei_rule(n: int):
 # A fold gives the walk each object's (k, l) from two summaries, each kept
 # once for all the objects that share it: a prefix's, which a frame keeps,
 # and a suffix's, which a block keeps beside each completion; _tally counts
-# each state's completions by the suffix's alone.  It is the four (root,
-# grow, push, join):
+# each state's completions by the suffix's alone.  It is the five (root,
+# grow, push, join, carry):
 #
-#   root  the summary of the empty prefix;
-#   grow  grow(i, component, above): the summary of a prefix that ends in
-#         the component at step i, from the summary above of the rest;
-#   push  push(i, component, below): the summary of a suffix that starts
-#         with the component at step i, from the summary below of the rest,
-#         which is (0, 0) for the empty suffix;
-#   join  join(above, below) -> (k, l): the statistics of the object made of
-#         a prefix and a suffix, in O(1).
+#   root   the summary of the empty prefix;
+#   grow   grow(i, component, above): the summary of a prefix that ends in
+#          the component at step i, from the summary above of the rest;
+#   push   push(i, component, below): the summary of a suffix that starts
+#          with the component at step i, from the summary below of the
+#          rest, which is (0, 0) for the empty suffix;
+#   join   join(above, below) -> (k, l): the statistics of the object made
+#          of a prefix and a suffix, in O(1);
+#   carry  carry(i, component, below, into): push over a whole table, for
+#          _tally.  below counts suffixes by summary, {summary: count}, and
+#          carry adds to the table into the counts of those suffixes with
+#          the component put before them at step i, each under the summary
+#          push gives it.
 #
 # push hands out one tuple for each distinct summary, kept in shared, so
 # the completions in the walk's memo share them: with a tuple each, pd2n's
 # order-6 walk peaked at 252 KiB of tracemalloc, against 231 KiB so.
+#
+# The walk calls grow and push, and _tally carry alone.  Through push,
+# dellac's order-7 table would ask its mark 4,241 times, for 56 distinct
+# (step, component) pairs.  So a mark rule's carry asks each (step,
+# component) once and then moves the table whole: it adds it to into as it
+# is when the choice marks nothing, as one entry of its total when the
+# choice sets both k and l, and otherwise under each key with the choice's
+# mark put in, keyed by the tuples of shared (with a tuple each, dellac's
+# order-11 table peaked at 32.2 MiB of RSS, against 30.9 so).  A hetyei
+# pair may change any suffix summary, where the scan stops as well as its
+# l, so its carry calls push, but once for each (step, pair, summary): 4,714
+# calls for its order-10 table, against 34,925 summaries carried.
 
 
 def _mark_fold(mark):
@@ -953,7 +974,29 @@ def _mark_fold(mark):
     def join(above, below):
         return above[0] or below[0], above[1] or below[1]
 
-    return (0, 0), grow, push, join
+    # the mark of each (step, component) that carry has met
+    marks: dict = {}
+
+    def carry(i, c, below, into):
+        if (marked := marks.get((i, c))) is None:
+            marked = marks[i, c] = mark(i, c)
+        mk, ml = marked
+        if mk and ml:  # every suffix gets the choice's (k, l)
+            into[marked] = into.get(marked, 0) + sum(below.values())
+        elif mk or ml:
+            get = into.get
+            for (k, l), count in below.items():
+                summary = mk or k, ml or l
+                summary = shared.setdefault(summary, summary)
+                into[summary] = get(summary, 0) + count
+        elif into:
+            get = into.get
+            for summary, count in below.items():
+                into[summary] = get(summary, 0) + count
+        else:  # the first of the state's tables passes up as it is
+            into.update(below)
+
+    return (0, 0), grow, push, join, carry
 
 
 def _hetyei_fold(n: int):
@@ -999,9 +1042,26 @@ def _hetyei_fold(n: int):
         k, l = below
         return k if k > 0 else above[-k], l or above[0]
 
+    # the summary push gives each (pair, summary) that carry has met at the
+    # step it was last asked for; _tally asks one step after another, so
+    # this keeps one step's
+    moved_at, moves = None, {}
+
+    def carry(i, pair, below, into):
+        nonlocal moved_at, moves
+        if i != moved_at:
+            moved_at, moves = i, {}
+        if (moved := moves.get(pair)) is None:
+            moved = moves[pair] = {}
+        get = into.get
+        for summary, count in below.items():
+            if (key := moved.get(summary)) is None:
+                key = moved[summary] = push(i, pair, summary)
+            into[key] = get(key, 0) + count
+
     # the empty prefix: the scan always stops by position 1, whose pair is
     # {1, 1}, so it is never asked for a k
-    return [0], grow, push, join
+    return [0], grow, push, join, carry
 
 
 _RULES = {
@@ -1049,7 +1109,7 @@ def _walk(model: str, n: int, stats: bool = False) -> Iterator[tuple]:
     object's k and l are the join of the two: no object is scanned."""
     cls = _MODEL_CLASSES[model]
     write, sep = cls._write, cls._sep
-    size, step, (at, grow, push, join) = _RULES[model](n)
+    size, step, (at, grow, push, join, _) = _RULES[model](n)
     tag, last = cls._tag, size - 1
     acc = [None] * size
     # the fragment of each component met, one string for every state that
@@ -1156,13 +1216,14 @@ def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
 
     Forward, the states each step reaches, each with its choices, so the
     rule's step runs once for each (step, state).  Backward from the last
-    step, each state's completions counted by their suffix's summary, which
-    the fold's push builds from the choice and the rest of the suffix: a
+    step, each state's completions counted by their suffix's summary: the
+    fold's carry adds, for each choice, the table of the state it leads to,
+    with the choice put before each suffix, as push would summarize it.  A
     state after the last step has one completion, the empty suffix, whose
     summary is (0, 0), as for a leaf block's completions in the walk.  The
     root's completions are whole objects, so the join with the empty prefix
     turns their summaries into their (k, l)."""
-    size, step, (root, _, push, join) = _RULES[model](n)
+    size, step, (root, _, _, join, carry) = _RULES[model](n)
     levels = []
     states = {0}
     for i in range(size):
@@ -1174,9 +1235,7 @@ def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
         for state, choices in levels.pop().items():
             here = counts[state] = {}
             for c, new in choices:
-                for summary, count in below[new].items():
-                    key = push(i, c, summary)
-                    here[key] = here.get(key, 0) + count
+                carry(i, c, below[new], here)
         below = counts
     table: dict[tuple[int, int], int] = {}
     for summary, count in below[0].items():

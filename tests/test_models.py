@@ -976,6 +976,61 @@ def test_listing_and_table_read_one_rule(monkeypatch, model):
     assert changed == Counter(models.statistics(o) for o in objects)
 
 
+@pytest.mark.parametrize("model", [m for m in MODEL_NAMES if m != "hetyei"])
+def test_a_tally_asks_each_mark_once_per_step_and_component(monkeypatch, model):
+    # a mark depends on (step, component) alone, so a tally that asked it
+    # for every suffix summary (4,241 times for 56 pairs in dellac's order-7
+    # table) would ask again what it already knows
+    fold = models._mark_fold
+    asked = []
+
+    def counted(mark):
+        def mark_counted(i, c):
+            asked.append((i, c))
+            return mark(i, c)
+
+        return fold(mark_counted)
+
+    monkeypatch.setattr(models, "_mark_fold", counted)
+    for n in (5, 7):
+        asked.clear()
+        assert sum(models.statistics_table(model, n).values()) == triangles.normalized_genocchi(n)
+        assert asked
+        assert len(asked) == len(set(asked))
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_carry_adds_what_push_gives_each_summary(monkeypatch, model):
+    # the tally moves whole tables through carry, the walk one summary at a
+    # time through push: at every (step, component, table below) a tally
+    # meets, carry must add to its target the counts push would, and leave
+    # the table below as it was
+    rule = models._RULES[model]
+    met = []
+
+    def recorded(n):
+        size, step, (root, grow, push, join, carry) = rule(n)
+
+        def carry_recorded(i, c, below, into):
+            before, kept = dict(into), dict(below)
+            carry(i, c, below, into)
+            met.append((push, i, c, kept, below, before, dict(into)))
+
+        return size, step, (root, grow, push, join, carry_recorded)
+
+    monkeypatch.setitem(models._RULES, model, recorded)
+    for n in range(1, 7):
+        met.clear()
+        models.statistics_table(model, n)
+        assert met
+        for push, i, c, kept, below, before, after in met:
+            assert below == kept
+            expected = Counter(before)
+            for summary, count in below.items():
+                expected[push(i, c, summary)] += count
+            assert after == dict(expected), (n, i, c)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_statistics_tables_beyond_enumeration(n):
