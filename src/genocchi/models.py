@@ -124,7 +124,7 @@ fragments come from the same writers.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, combinations
 from operator import gt, itemgetter, lt
 from typing import Iterator
@@ -1244,13 +1244,6 @@ def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
     return dict(sorted(table.items()))
 
 
-# the dispatch on the family: an enumerator yields the pairs (text, object)
-# of listing.  _walk and _tally read _RULES at each call, so a replaced rule
-# reaches both
-_ENUMERATORS = {model: partial(_walk, model) for model in _RULES}
-_TALLIES = {model: partial(_tally, model) for model in _RULES}
-
-
 def _check_order(n: int, name: str = "order") -> None:
     """Raise ValueError unless n is an int: a bool, float or str would fail
     deep inside the work, or build an object of a non-int order."""
@@ -1259,7 +1252,7 @@ def _check_order(n: int, name: str = "order") -> None:
 
 
 def _check_call(model: str, n: int, limit: int | None) -> None:
-    if model not in _ENUMERATORS:
+    if model not in _RULES:
         raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
     _check_order(n)
     if n < 1:
@@ -1275,7 +1268,8 @@ def listing(model: str, n: int, limit: int | None = DEFAULT_ENUMERATION_LIMIT,
     Canonical order is lexicographic on the serialization string; the walk
     of the family's rule emits it directly, and writes each text from the
     texts of the prefix it shares with the previous one, so the pairs
-    stream in bounded memory.
+    stream in bounded memory.  The walk, _walk, reads _RULES at each call,
+    as statistics_table's _tally does, so a replaced rule reaches both.
     The model, the order and the guard are checked at the call, before any
     object is built: orders beyond `limit` raise ResourceGuardError (pass a
     larger limit, or None, to override).
@@ -1291,9 +1285,7 @@ def listing(model: str, n: int, limit: int | None = DEFAULT_ENUMERATION_LIMIT,
     ('1,1;1,1;2,3', HetyeiTuple(n=3, pairs=((1, 1), (1, 1), (2, 3))), 3, 2)
     """
     _check_call(model, n, limit)
-    # an enumerator takes the keyword only when asked for the statistics
-    enumerator = _ENUMERATORS[model]
-    return enumerator(n, stats=True) if stats else enumerator(n)
+    return _walk(model, n, stats)
 
 
 def enumerate_model(model: str, n: int,
@@ -1319,7 +1311,7 @@ def statistics_table(model: str, n: int,
     {(1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 2): 1, (2, 3): 1, (3, 1): 1, (3, 2): 1}
     """
     _check_call(model, n, limit)
-    return _TALLIES[model](n)
+    return _tally(model, n)
 
 
 def marginal(table: dict[tuple[int, int], int], index: int, n: int) -> list[int]:

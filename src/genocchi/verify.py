@@ -17,21 +17,25 @@ enumeration plus the structural maps on the other.  A full run covers
     phi_inverse, and the doubled pair count against median_genocchi,
   * the reference order-3 classification of all five families by (k, l).
 
-Each order is one pass: the five cells are enumerated once, and each
-object's statistics and map images are computed once and read by every
-check that needs them; order n - 1 is kept for the reduce/lift checks.
+Each order is one pass: each of the five cells is built in one pass over
+its listing, and each object's statistics and map images are computed once
+and read by every check that needs them; order n - 1 is kept for the
+reduce/lift checks.
 
 Enumerators and maps build their objects without validating them (see
-models).  The serialization round-trip validates every enumerated object
-through parse before anything else reads it, and a cell holds only the
-objects it accepts.  Each map's results are a position table: for every
-object of the source cell, the position of its image in the target cell,
-or None when the image is no member.  Membership is decided once, as the
-table is built, and the checks compare positions and read the target
-cell's statistics at them.  No check accepts None, so a non-member image
-fails the check that guards its map, with the source object as witness
-(reduce-lift names the first l = n object that reduce and lift do not
-carry back to itself), and no statistic or map is computed on it.
+models).  The serialization round-trip parses each object's text, as the
+walk wrote it, back and compares the result with the object; parse
+validates, so this checks every enumerated object before anything else
+reads it, and a cell holds only the objects it accepts.  serialize writes
+only the witnesses and the order-3 reference cells.  Each map's results
+are a position table: for every object of the source cell, the position of
+its image in the target cell, or None when the image is no member.
+Membership is decided once, as the table is built, and the checks compare
+positions and read the target cell's statistics at them.  No check accepts
+None, so a non-member image fails the check that guards its map, with the
+source object as witness (reduce-lift names the first l = n object that
+reduce and lift do not carry back to itself), and no statistic or map is
+computed on it.
 
 Failures never raise; they are collected as check records carrying a
 replayable witness (a canonical serialization whenever an object is at
@@ -43,9 +47,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice, permutations
+from itertools import permutations
 from math import factorial
-from operator import le
 
 from . import maps, models, triangles
 from .models import _INVOLUTIVE, MODEL_NAMES
@@ -243,8 +246,15 @@ def _all_bad(objs, oks, cap: int = 8) -> str | None:
 
 
 class _Cell:
-    """The enumerated objects of one (model, n) cell, each object's
-    statistics, and each object's position in the cell.
+    """The enumerated objects of one (model, n) cell that round-trip, each
+    object's statistics and position in the cell, the first text that does
+    not round-trip, and whether the texts came in canonical order.
+
+    Built in one pass over the cell's listing.  Each object's text is
+    parsed back, and parse validates, so this is the one validation of
+    each enumerated object: only an object that its text parses back to
+    joins the cell, before any statistic or map is computed on it, so an
+    invalid one fails the round-trip (and the total) instead of raising.
 
     A map's results are a position table aligned with `objs` (see
     `positions`), so no image object outlives the table's construction.
@@ -252,14 +262,27 @@ class _Cell:
     membership stands in for the validation of a map image.
     """
 
-    __slots__ = ("objs", "stats", "pos")
+    __slots__ = ("objs", "stats", "pos", "bad", "ordered")
 
-    def __init__(self, objs: list) -> None:
-        self.objs = objs
+    def __init__(self, model: str, pairs) -> None:
+        self.objs, self.stats, self.pos = objs, stats, pos = [], [], {}
+        self.bad, self.ordered, previous = None, True, ""
         # one shared tuple per (k, l) value, not one per object
         shared: dict[tuple[int, int], tuple[int, int]] = {}
-        self.stats = [shared.setdefault(kl, kl) for kl in map(models.statistics, objs)]
-        self.pos = {o: i for i, o in enumerate(objs)}
+        for text, obj in pairs:
+            self.ordered = self.ordered and previous <= text
+            previous = text
+            try:
+                ok = models.parse(model, text) == obj
+            except models.ModelError:
+                ok = False
+            if ok:
+                kl = models.statistics(obj)
+                pos[obj] = len(objs)
+                objs.append(obj)
+                stats.append(shared.setdefault(kl, kl))
+            elif self.bad is None:
+                self.bad = text
 
     def positions(self, fn, target: _Cell) -> list[int | None]:
         """The position in target of fn of each object, None for a non-member."""
@@ -302,33 +325,11 @@ def count_matrix(n: int, *,
 # per-order deep checks
 
 
-def _parses_to(model: str, text: str, obj) -> bool:
-    try:
-        return models.parse(model, text) == obj
-    except models.ModelError:
-        return False
-
-
-def _roundtrip(model: str, objs: list) -> tuple[list, str | None, bool]:
-    """The enumerated objects whose text parses back to them, the first
-    text that does not, and whether the texts are in canonical order.
-
-    parse validates, so this is the one validation of each enumerated
-    object.  Only the objects it accepts make up the cell, before any
-    statistic or map is computed, so an invalid one fails the round-trip
-    (and the total) instead of raising."""
-    texts = [models.serialize(o) for o in objs]
-    oks = [_parses_to(model, text, o) for o, text in zip(objs, texts)]
-    bad = next((text for text, ok in zip(texts, oks) if not ok), None)
-    return list(compress(objs, oks)), bad, all(map(le, texts, islice(texts, 1, None)))
-
-
-def _serialization_checks(report: ConsistencyReport,
-                          roundtrips: dict[str, tuple[list, str | None, bool]]) -> None:
+def _serialization_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
     n = report.n
-    for model, (_, bad, ordered) in roundtrips.items():
-        _check(report.checks, "serialization-roundtrip", model, n, bad is None, bad)
-        _check(report.checks, "canonical-order", model, n, ordered,
+    for model, cell in cells.items():
+        _check(report.checks, "serialization-roundtrip", model, n, cell.bad is None, cell.bad)
+        _check(report.checks, "canonical-order", model, n, cell.ordered,
                "enumeration is not sorted by serialization")
 
 
@@ -569,19 +570,20 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
     DIVISIBILITY_N), which are cheap.  The run is serial and the report
     deterministic.  Invariant violations are reported, not raised.  An
     order beyond `limit` raises ResourceGuardError, and a max_n or pairs_n
-    that is not an int ValueError, before any work starts.
+    that is not an int, or a max_n below 1, ValueError, before any work
+    starts.
     """
     models.check_enumeration_guard(max_n, limit)
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if pairs_n is not None:
         models._check_order(pairs_n, "pairs_n")
     reports = []
     below: dict[str, _Cell] = {}
     for n in range(1, max_n + 1):
-        roundtrips = {m: _roundtrip(m, list(models.enumerate_model(m, n, limit)))
-                      for m in MODEL_NAMES}
-        cells = {m: _Cell(valid) for m, (valid, _, _) in roundtrips.items()}
+        cells = {m: _Cell(m, models.listing(m, n, limit)) for m in MODEL_NAMES}
         report = _matrix_report(n, {m: Counter(cell.stats) for m, cell in cells.items()})
-        _serialization_checks(report, roundtrips)
+        _serialization_checks(report, cells)
         _settuple_checks(report, cells)
         _hetyei_checks(report, cells)
         _bijection_checks(report, cells)

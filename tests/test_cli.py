@@ -365,7 +365,7 @@ def test_guard_refusal_and_override(capsys):
 @pytest.mark.parametrize("model", models.MODEL_NAMES)
 def test_count_guard_refuses_before_any_tally(capsys, monkeypatch, model):
     calls = []
-    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in models.MODEL_NAMES})
+    monkeypatch.setattr(models, "_tally", lambda *args: calls.append(args))
     for by in ((), ("--by", "k")):
         code, out, err = run(capsys, "count", "--model", model, "--n", "9", *by)
         assert (code, out) == (2, "")
@@ -390,8 +390,13 @@ def test_guard_only_where_an_enumeration_runs(capsys, argv):
     assert (code, out) == (2, "")
 
 
-def _out_of_memory(n):
-    raise MemoryError
+def _out_of_memory_on(model, real):
+    """real, but out of memory on the named family."""
+    def run_out(m, *args):
+        if m == model:
+            raise MemoryError
+        return real(m, *args)
+    return run_out
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,8 +405,8 @@ def _out_of_memory(n):
     ("verify", "--max-n", "3"),
 ], ids=["enumerate", "count", "verify"])
 def test_running_out_of_memory_exits_2(capsys, monkeypatch, argv):
-    monkeypatch.setitem(models._ENUMERATORS, "hetyei", _out_of_memory)
-    monkeypatch.setitem(models._TALLIES, "dellac", _out_of_memory)
+    monkeypatch.setattr(models, "_walk", _out_of_memory_on("hetyei", models._walk))
+    monkeypatch.setattr(models, "_tally", _out_of_memory_on("dellac", models._tally))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -415,7 +420,7 @@ def test_running_out_of_memory_frees_the_failed_frames_before_printing(capsys, m
 
     refs = []
 
-    def tally(n):
+    def tally(model, n):
         held = Held()
         refs.append(weakref.ref(held))
         try:
@@ -429,7 +434,7 @@ def test_running_out_of_memory_frees_the_failed_frames_before_printing(capsys, m
         freed.append(refs[0]() is None)
         print(*args, **kwargs)
 
-    monkeypatch.setitem(models._TALLIES, "dellac", tally)
+    monkeypatch.setattr(models, "_tally", tally)
     monkeypatch.setattr(cli, "print", printed, raising=False)
     code, out, err = run(capsys, "count", "--model", "dellac", "--n", "3")
     assert (code, out, err) == (2, "", "error: out of memory\n")

@@ -1053,7 +1053,7 @@ def test_statistics_tables_beyond_enumeration(n):
 
 def test_statistics_table_checks_its_call(monkeypatch):
     calls = []
-    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in MODEL_NAMES})
+    monkeypatch.setattr(models, "_tally", lambda *args: calls.append(args))
     with pytest.raises(ResourceGuardError, match=r"guard 8 \(each family has 15,366,679"):
         models.statistics_table("dellac", 9)
     with pytest.raises(ResourceGuardError, match=r"guard 4 "):
@@ -1126,8 +1126,8 @@ def test_an_order_that_is_not_an_int_is_refused_before_any_work(monkeypatch, ent
     # True == 1 and 2.0 == 2 would otherwise build objects of order True or
     # 2.0, and "3" fail deep inside with a TypeError
     calls = []
-    monkeypatch.setattr(models, "_ENUMERATORS", {m: calls.append for m in MODEL_NAMES})
-    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in MODEL_NAMES})
+    monkeypatch.setattr(models, "_walk", lambda *args: calls.append(args))
+    monkeypatch.setattr(models, "_tally", lambda *args: calls.append(args))
     monkeypatch.setattr(models, "normalized_genocchi", calls.append)
     with pytest.raises(ValueError, match=r"must be an int, got " + re.escape(repr(bad))):
         ORDER_ENTRY_POINTS[entry](bad)

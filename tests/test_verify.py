@@ -117,13 +117,13 @@ def test_failed_check_appears_in_text_and_csv_friendly_fields(monkeypatch):
 
 def test_each_cell_is_enumerated_once(monkeypatch):
     calls = []
-    enumerate_model = models.enumerate_model
+    listing = models.listing
 
-    def counting(model, n, limit=models.DEFAULT_ENUMERATION_LIMIT):
+    def counting(model, n, *args):
         calls.append((model, n))
-        return enumerate_model(model, n, limit)
+        return listing(model, n, *args)
 
-    monkeypatch.setattr(models, "enumerate_model", counting)
+    monkeypatch.setattr(models, "listing", counting)
     assert run_suite(4, 0).passed
     assert len(calls) == 5 * 4
     assert sorted(calls) == sorted((m, n) for m in models.MODEL_NAMES for n in range(1, 5))
@@ -131,13 +131,43 @@ def test_each_cell_is_enumerated_once(monkeypatch):
 
 def test_guard_refuses_before_any_enumeration(monkeypatch):
     calls = []
-    monkeypatch.setattr(models, "enumerate_model", lambda *args: calls.append(args))
+    monkeypatch.setattr(models, "listing", lambda *args: calls.append(args))
     with pytest.raises(models.ResourceGuardError, match="guard 6"):
         run_suite(7, limit=6)
     monkeypatch.setattr(models, "normalized_genocchi", calls.append)
     with pytest.raises(models.ResourceGuardError, match=r"guard 8; raise"):
         run_suite(10**6)
     assert calls == []
+
+
+def test_an_order_below_one_is_refused_before_any_enumeration(monkeypatch):
+    # as count_matrix refuses it; a suite of no order would pass having
+    # checked nothing
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+        count_matrix(0)
+    calls = []
+    monkeypatch.setattr(models, "listing", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="max_n must be >= 1, got 0"):
+        run_suite(0)
+    with pytest.raises(ValueError, match="max_n must be >= 1, got -5"):
+        run_suite(-5, 3)
+    assert calls == []
+
+
+def test_a_passing_suite_serializes_only_the_order3_reference_objects(monkeypatch):
+    # the round-trip parses the texts the walk wrote, so serialize writes
+    # no enumerated object unless a check fails or names a reference cell
+    written = []
+    serialize = models.serialize
+
+    def counting(obj):
+        written.append(serialize(obj))
+        return written[-1]
+
+    monkeypatch.setattr(models, "serialize", counting)
+    assert run_suite(4, 0).passed
+    assert sorted(written) == sorted(
+        text for cells in ORDER3_CELLS.values() for text in cells.values())
 
 
 def failed_checks(report) -> dict:
@@ -230,13 +260,29 @@ def test_embedding_names_the_first_missed_singleton(monkeypatch, capsys):
 
 
 def test_embedding_counts_a_cell_short_of_singletons(monkeypatch, capsys):
-    real = models._ENUMERATORS["settuple"]
+    real = models.listing
     dropped = models.parse("settuple", "1;2;3")
-    monkeypatch.setitem(models._ENUMERATORS, "settuple",
-                        lambda n: (pair for pair in real(n) if pair[1] != dropped))
+    monkeypatch.setattr(models, "listing",
+                        lambda *args: (pair for pair in real(*args) if pair[1] != dropped))
     failed = failed_checks(run_suite(3, 0))
     assert failed[("permutation-embedding", "settuple", 3)] == (
         "expected 6 singleton tuples, got 5")
+
+
+@pytest.mark.parametrize("model", models.MODEL_NAMES)
+def test_suite_reports_a_cell_out_of_canonical_order(monkeypatch, capsys, model):
+    # the first two pairs of the order-3 cell swapped: both still round-trip,
+    # and every check but the order reads positions, which stay consistent
+    real = models.listing
+
+    def swapped(m, n, *args):
+        pairs = list(real(m, n, *args))
+        return pairs[1::-1] + pairs[2:] if (m, n) == (model, 3) else pairs
+
+    monkeypatch.setattr(models, "listing", swapped)
+    failed = failed_checks(run_suite(3, 0))
+    assert failed == {("canonical-order", model, 3): "enumeration is not sorted by serialization"}
+    assert main(["verify", "--max-n", "3"]) == 1
 
 
 # k of every Dellac configuration of order n falls outside 1..n: n + 1 (past
@@ -329,14 +375,14 @@ def test_suite_reports_an_invalid_enumerated_object(monkeypatch, capsys, model, 
                                                     text):
     # the enumerators build unvalidated objects too; this one replaces the
     # first of its order-3 cell, text and object, and parse refuses it
-    real = models._ENUMERATORS[model]
+    real = models.listing
     bad = models._trusted(cls, 3, data)
 
-    def sabotaged(n):
-        pairs = list(real(n))
-        return [(text, bad)] + pairs[1:] if n == 3 else pairs
+    def sabotaged(m, n, *args):
+        pairs = list(real(m, n, *args))
+        return [(text, bad)] + pairs[1:] if (m, n) == (model, 3) else pairs
 
-    monkeypatch.setitem(models._ENUMERATORS, model, sabotaged)
+    monkeypatch.setattr(models, "listing", sabotaged)
     failed = failed_checks(run_suite(3, 0))
     assert failed[("serialization-roundtrip", model, 3)] == text
     assert failed[("total", model, 3)] == "expected 7, got 6"
@@ -345,7 +391,7 @@ def test_suite_reports_an_invalid_enumerated_object(monkeypatch, capsys, model, 
 
 def test_count_matrix_refuses_before_any_tally(monkeypatch):
     calls = []
-    monkeypatch.setattr(models, "_TALLIES", {m: calls.append for m in models.MODEL_NAMES})
+    monkeypatch.setattr(models, "_tally", lambda *args: calls.append(args))
     with pytest.raises(models.ResourceGuardError, match="guard 8"):
         count_matrix(9)
     with pytest.raises(models.ResourceGuardError, match="guard 3"):
