@@ -81,10 +81,16 @@ def _batches(items):
         yield batch
 
 
-def _write_lines(lines) -> None:
-    """Write the lines, each ending in a newline, one batch at a time."""
-    for batch in _batches(lines):
-        sys.stdout.write("".join(batch))
+def _write_blocks(blocks) -> None:
+    """Write the lists of lines, each line ending in a newline, at least
+    _BATCH lines at a time but the last time."""
+    batch = []
+    for lines in blocks:
+        batch += lines
+        if len(batch) >= _BATCH:
+            sys.stdout.write("".join(batch))
+            batch = []
+    sys.stdout.write("".join(batch))
 
 
 def _dump_json_list(items) -> None:
@@ -149,26 +155,24 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    # the walk writes each object's text beside it, and with --stats its k
-    # and l, folded from the same choices
+    # the walk writes each object's text, and with --stats its k and l,
+    # folded from the same choices.  Every format builds the walk's first
+    # block before it writes anything, so an order whose first block runs
+    # out of memory leaves stdout empty, with no lone "[" in json
+    if args.format == "text":  # a block's lines at a time, and no object
+        _write_blocks(models._lines(args.model, args.n, args.guard, args.stats))
+        return 0
     pairs = models.listing(args.model, args.n, args.guard, stats=args.stats)
-    # the first object is built before any output, so an order whose first
-    # object runs out of memory leaves stdout empty in every format, with no
-    # lone "[" in json
     pairs = chain((next(pairs),), pairs)
     if args.stats:
         if args.format == "csv":
             _write_csv(("serialization", "k", "l"), ((text, k, l) for text, _, k, l in pairs))
-        elif args.format == "json":
-            _dump_json_list({"serialization": text, "k": k, "l": l} for text, _, k, l in pairs)
         else:
-            _write_lines(f"{text}\tk={k} l={l}\n" for text, _, k, l in pairs)
+            _dump_json_list({"serialization": text, "k": k, "l": l} for text, _, k, l in pairs)
     elif args.format == "csv":
         _write_csv(("serialization",), ((text,) for text, _ in pairs))
-    elif args.format == "json":
-        _dump_json_list(text for text, _ in pairs)
     else:
-        _write_lines(f"{text}\n" for text, _ in pairs)
+        _dump_json_list(text for text, _ in pairs)
     return 0
 
 

@@ -66,15 +66,19 @@ keyed by (step, state) keeps, for the states met last, either their
 choices in that order or, for a state with at most _BLOCK_SIZE
 completions, the block of them, each as its text and its components; a
 dead state's block is empty, so while it is remembered it costs a lookup
-and not a walk.  An object below a block costs no step of the walk, only
-one string and one tuple concatenation, and is yielded as it is built.
-listing yields each object exactly once as the pair (its canonical
-serialization, the object), written from the fragments without
+and not a walk.  The walk yields a block each time it follows a prefix,
+with the prefix's text and components, so an object below a block
+costs no step of the walk, only one string and one tuple concatenation of
+the prefix and its completion, which listing makes as it yields the
+object.  listing yields each object exactly once as the pair (its
+canonical serialization, the object), written from the fragments without
 serializing the object again, and asked for the statistics, as the
 quadruple (text, object, k, l): the walk folds each family's statistics
 through its frames and blocks, a frame keeping its prefix's summary and a
 block's completion its suffix's, so an object's k and l take one join of
-the two and no statistic is computed from the object.
+the two and no statistic is computed from the object.  The lines of
+`enumerate` in the text format are written a block at a time from the
+same texts and joins (_lines), with no object built.
 enumerate_model yields the objects of the same walk.  Both are lazy
 iterators, ordered lexicographically by the serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
@@ -1087,30 +1091,41 @@ _BLOCK_SIZE = 8
 _WALK_MEMO_SIZE = 1024
 
 
-def _walk(model: str, n: int, stats: bool = False) -> Iterator[tuple]:
-    """The order-n objects of the family in text order, each after its
-    text, and with stats followed by its k and l: a depth-first walk of its
-    rule in one loop, which keeps its path in a list of frames and yields
-    each object as it builds it.
+def _walk(model: str, n: int, stats: bool = False) -> tuple:
+    """The pair (join, blocks) of the family's order-n rule, read from
+    _RULES at each call: blocks is its walk, _blocks, and join its fold's,
+    which makes an object's k and l from the summaries of a block's prefix
+    and of one of its completions."""
+    size, step, fold = _RULES[model](n)
+    return fold[3], _blocks(_MODEL_CLASSES[model], size, step, fold, stats)
+
+
+def _blocks(cls, size: int, step, fold, stats: bool) -> Iterator[tuple]:
+    """The objects of the family in text order, as blocks: a depth-first
+    walk of its rule in one loop, which keeps its path in a list of frames
+    and yields a block each time it follows a prefix, as the quadruple
+    (the prefix's text, its components, the block, the prefix's summary).
+    A block is a tuple of completions, each (its text, its components), and
+    with stats (its text, its components, its summary); an object is the
+    prefix followed by one completion, its text the two texts joined.
 
     The current frame takes its state's choices in text order.  A choice
-    whose next state has a block yields the block's completions after the
-    prefix, as objects; any other choice pushes the frame on the path and
-    walks the next state in a frame of its own.  A state met for the first
-    time collects its completions from its children's blocks while it is
-    walked; once its choices run out, its memo entry becomes that block, or
-    its choices once the completions outnumber _BLOCK_SIZE, and the walk
-    pops back to its parent.  The states of the last step are blocks of
-    their choices.  The walk does not recurse, so an order is bounded by
-    memory and time, not by the recursion limit.
+    whose next state has a block yields the block after the prefix; any
+    other choice pushes the frame on the path and walks the next state in a
+    frame of its own.  A state met for the first time collects its
+    completions from its children's blocks while it is walked; once its
+    choices run out, its memo entry becomes that block, or its choices once
+    the completions outnumber _BLOCK_SIZE, and the walk pops back to its
+    parent.  The states of the last step are blocks of their choices.  The
+    walk does not recurse, so an order is bounded by memory and time, not by
+    the recursion limit.
 
     With stats, each frame also keeps its prefix's summary and each
     completion of a block its suffix's, both by the family's fold, and an
-    object's k and l are the join of the two: no object is scanned."""
-    cls = _MODEL_CLASSES[model]
+    object's k and l are the fold's join of the two: no object is scanned."""
     write, sep = cls._write, cls._sep
-    size, step, (at, grow, push, join, _) = _RULES[model](n)
-    tag, last = cls._tag, size - 1
+    at, grow, push = fold[:3]
+    last = size - 1
     acc = [None] * size
     # the fragment of each component met, one string for every state that
     # adds it, and "" for the root's
@@ -1184,15 +1199,7 @@ def _walk(model: str, n: int, stats: bool = False) -> Iterator[tuple]:
                 rest, at = iter(choices), above
                 continue
             if below:  # a block, whose completions follow the prefix
-                text, head = prefix + fragment, tuple(acc[:j])
-                if stats:
-                    for suffix, comps, summary in below:
-                        yield (text + suffix, _new_tuple(cls, (tag, n, head + comps)),
-                               *join(above, summary))
-                else:
-                    for suffix, comps in below:
-                        # built as _trusted builds it, with no call
-                        yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
+                yield prefix + fragment, tuple(acc[:j]), below, above
         elif path:  # the state's choices ran out: back to its parent
             below = choices if block is None else tuple(block)
             i, prefix, choices, rest, block, at, c, fragment, key, fresh = path.pop()
@@ -1266,13 +1273,14 @@ def listing(model: str, n: int, limit: int | None = DEFAULT_ENUMERATION_LIMIT,
     serialization, the object), as a lazy iterator in canonical order.
 
     Canonical order is lexicographic on the serialization string; the walk
-    of the family's rule emits it directly, and writes each text from the
-    texts of the prefix it shares with the previous one, so the pairs
-    stream in bounded memory.  The walk, _walk, reads _RULES at each call,
-    as statistics_table's _tally does, so a replaced rule reaches both.
-    The model, the order and the guard are checked at the call, before any
-    object is built: orders beyond `limit` raise ResourceGuardError (pass a
-    larger limit, or None, to override).
+    of the family's rule emits it directly, a block of objects at a time
+    after the prefix they share, and listing joins each block's texts to
+    that prefix's text and builds its objects as it yields them, so the
+    pairs stream in bounded memory.  The walk, _walk, reads _RULES at each
+    call, as statistics_table's _tally does, so a replaced rule reaches
+    both.  The model, the order and the guard are checked at the call,
+    before any object is built: orders beyond `limit` raise
+    ResourceGuardError (pass a larger limit, or None, to override).
 
     With stats=True each object comes with its statistics, as the quadruple
     (its serialization, the object, k, l), where (k, l) equals
@@ -1285,7 +1293,44 @@ def listing(model: str, n: int, limit: int | None = DEFAULT_ENUMERATION_LIMIT,
     ('1,1;1,1;2,3', HetyeiTuple(n=3, pairs=((1, 1), (1, 1), (2, 3))), 3, 2)
     """
     _check_call(model, n, limit)
-    return _walk(model, n, stats)
+    return _objects(model, n, stats)
+
+
+def _objects(model: str, n: int, stats: bool) -> Iterator[tuple]:
+    """listing's pairs, or with stats its quadruples, from the walk's blocks."""
+    cls = _MODEL_CLASSES[model]
+    tag = cls._tag
+    join, blocks = _walk(model, n, stats)
+    # each object is built as _trusted builds it, with no call
+    if stats:
+        for text, head, below, above in blocks:
+            for suffix, comps, summary in below:
+                yield (text + suffix, _new_tuple(cls, (tag, n, head + comps)),
+                       *join(above, summary))
+    else:
+        for text, head, below, _ in blocks:
+            for suffix, comps in below:
+                yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
+
+
+def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[list[str]]:
+    """The lines of `enumerate --model model --n n [--stats]` in the text
+    format, each ending in a newline, as one list for each block of the
+    walk.  A line is written from the block's texts and, with stats, the
+    fold's join, so no object is built.  Checked at the call as listing."""
+    _check_call(model, n, limit)
+    return _block_lines(model, n, stats)
+
+
+def _block_lines(model: str, n: int, stats: bool) -> Iterator[list[str]]:
+    join, blocks = _walk(model, n, stats)
+    if stats:
+        for text, _, below, above in blocks:
+            yield [f"{text}{suffix}\tk={k} l={l}\n"
+                   for suffix, _, summary in below for k, l in (join(above, summary),)]
+    else:
+        for text, _, below, _ in blocks:
+            yield [f"{text}{suffix}\n" for suffix, _ in below]
 
 
 def enumerate_model(model: str, n: int,

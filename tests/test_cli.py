@@ -181,12 +181,14 @@ def traced_peak(monkeypatch, sink, *argv):
     return code, peak
 
 
-def test_enumerate_json_streams_in_bounded_memory(monkeypatch):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_enumerate_json_streams_in_bounded_memory(monkeypatch, fmt):
     # built as one list, the order-6 listing with statistics peaks at about
-    # 2.4 MiB; the writer is the same for every family
+    # 2.4 MiB; the writers are the same for every family, and the text
+    # format's holds the lines of a few blocks past one batch of 256
     with open(os.devnull, "w") as sink:
         code, peak = traced_peak(monkeypatch, sink, "enumerate", "--model", "hetyei",
-                                 "--n", "6", "--stats", "--format", "json")
+                                 "--n", "6", "--stats", "--format", fmt)
     assert code == 0
     assert peak < 1024 * 1024
 

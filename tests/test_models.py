@@ -470,7 +470,7 @@ def test_listing_is_pinned(capsys, model, n):
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[n][model]
 
 
-# sha256 of the stdout of `enumerate --model M --n N --stats [--format csv]`;
+# sha256 of the stdout of `enumerate --model M --n N --stats [--format F]`;
 # the 295 lines of order 5 span one seam between two written batches
 STATS_LISTING_SHA256 = {
     (5, "text"): {
@@ -501,18 +501,83 @@ STATS_LISTING_SHA256 = {
         "settuple": "ba1b23511624a6877a4521478ebb9af697980953bbfda1cc15fde0cf507e89e0",
         "hetyei": "6fa9d84766e7fcacadca699ad985a720fa5505d9cef4decccaee4468bf2915cb",
     },
+    (6, "csv"): {
+        "pd2n": "aac72e5797a736adf46f35a756b388c88adfa0ee3fab7642fb34f09eba5b9549",
+        "dellac": "74963a4cbfcec9326df893bc09b1e2bff243745fd05b2759147192e9fe8aeb4a",
+        "chain": "b519db261016a0b6afeb5f24635d45f979adf1dc380a8f8b50530a0a9605317d",
+        "settuple": "4f9c188bf82ce5744ff0f6e26383e3a2b108b0e5ce35cdeab215ecc62e745152",
+        "hetyei": "4b5ade8115d9f5e43d13da0a7bfbc43c8454f921e1b1766d922572d0b7bc2806",
+    },
+    (6, "json"): {
+        "pd2n": "8f627bfe477c1a0f136949c001d15cb819a855ee6b23a83122a565e9855fb8da",
+        "dellac": "744be9cb02370993feb2aeeb830ec3edd64f881e7283222d6f2fd5f296fd83ac",
+        "chain": "cc139ed49ed9027627e23fa82e1448a23bd85cf4da91e83d4ddb164dc138dd09",
+        "settuple": "0882daf1abd2d1dc4cd59f8d49e01ad81701048a63660fa182bdfefdbb71d18d",
+        "hetyei": "99dca1d923e582ee7557eaaa6591edf51e8cb1771f8829c46f654bd8c6cafad9",
+    },
 }
 
 
 @pytest.mark.parametrize("n, fmt", [(5, "text"), (6, "text"),
                                     pytest.param(7, "text", marks=pytest.mark.slow),
-                                    (5, "csv")])
+                                    (5, "csv"), (6, "csv"), (6, "json")])
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_stats_listing_is_pinned(capsys, model, n, fmt):
     argv = ["enumerate", "--model", model, "--n", str(n), "--stats", "--format", fmt]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STATS_LISTING_SHA256[n, fmt][model]
+
+
+# sha256 of the stdout of `enumerate --model M --n 6 --format F`, the
+# formats that read listing, with no statistics
+FORMAT_LISTING_SHA256 = {
+    "csv": {
+        "pd2n": "f6267f76850e57bcec72e9d5663080652369f72085eb6a2aa2195f5ab0fa7953",
+        "dellac": "001002ff004d184a2e9ae68adb25f60c0bf6868fd44b6e6abe97ddc25544232d",
+        "chain": "e4327ef77fbf370ad388c2e8961f2c39df47688366f2bf53dceec17e50bb477e",
+        "settuple": "9dc2e8ee7058b9a22dcbc5c31ab1debf95465883580f08d6b648bdd6dc8506f5",
+        "hetyei": "f78d61765e36a5d8245591206cd9f59601da2915ae19353107e9c469f7cb2f72",
+    },
+    "json": {
+        "pd2n": "5f9234e4e2503448903120f74d058411c3633bcc232ddec538c3668d45c83d4d",
+        "dellac": "ec83e34f6adefdffe1af4c6c3b9473a248032fd3e4da43af24110a8b10f3febc",
+        "chain": "c40a86327668c6d606c6e00e5d748ace1e63bf7e1bb24c0db71e1b5e3d1b767b",
+        "settuple": "fe302abc5a919e99d801645786ccf9a1d76a9f6e4e444dd3497e2a867000a0aa",
+        "hetyei": "27c6c87ee9b91cbd038fda1023f3fb12953d7e0fbdfe2e9afe6e5c9ec90623af",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_listing_formats_are_pinned(capsys, model, fmt):
+    assert cli.main(["enumerate", "--model", model, "--n", "6", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_LISTING_SHA256[fmt][model]
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_the_text_listing_builds_no_object(capsys, monkeypatch, model):
+    # enumerate's text format writes each line from the texts and the folds
+    # of the walk's blocks; the objects that listing builds from the same
+    # blocks all go through _new_tuple
+    built = []
+
+    def counted(cls, data):
+        built.append(cls)
+        return tuple.__new__(cls, data)
+
+    monkeypatch.setattr(models, "_new_tuple", counted)
+    for extra, pinned in (((), LISTING_SHA256[5][model]),
+                          (("--stats",), STATS_LISTING_SHA256[5, "text"][model])):
+        assert cli.main(["enumerate", "--model", model, "--n", "5", *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned, extra
+    assert built == []
+    cls = models._MODEL_CLASSES[model]
+    assert all(type(obj) is cls for _, obj in models.listing(model, 5))
+    assert built == [cls] * triangles.normalized_genocchi(5)
 
 
 def test_string_order_differs_from_numeric_for_wide_words(objects):
