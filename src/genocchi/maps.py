@@ -39,21 +39,44 @@ pair {u, v} has u = v, or whose position n-k+1 never occurs among the
 already-replayed pairs, is a growth step (the pair is then {p, p} or
 {p, n-k+1}, which pins p); every other slot is a swap step with
 {p, q} = {u, v}.  The pool invariant (the pool lists the complement of
-the current subset, each value once) is asserted at every step of both
-directions: the OR of the pool entries' bits must equal the complement of
-the subset's bit mask, and the pool must have n-k entries, so no entry
-repeats.  Any violation aborts with the step number, pool and subset,
-since it can only mean an implementation bug.
+the current subset, each value once) is asserted at every step that a call
+of either direction computes: the OR of the pool entries' bits must equal
+the complement of the subset's bit mask, and the pool must have n-k
+entries, so no entry repeats.  Any violation aborts with the step number,
+pool and subset, since it can only mean an implementation bug.
+
+Each direction resumes where its last call left off.  Step k of phi
+depends on I_1 .. I_k alone, and step k of phi_inverse on the pairs of
+slots n .. n-k+1 alone.  So each keeps one snapshot of its last call that
+returned: one tuple of the pool helpers it ran with (_grow_pool, _swap_pool
+and _check_pool), the order, the input's components, and for each k =
+0 .. n the state after step k (the pool and the subset's mask; for
+phi_inverse also the positions replayed and I_k), O(n) entries whose pools,
+pairs and subsets are the very tuples the call returns.  A call at the
+same order takes the state after the steps its input shares with that
+input (the longest common prefix of subsets for phi, the longest common
+suffix of pairs for phi_inverse) and computes only the later steps, each with its pool check; the steps it takes over
+were checked when they were computed.  The snapshot is set only after a
+call succeeds, and replaced whole, so a caller on another thread sees one
+call's state or another's and at worst misses a resume.  It is not used at
+another order, nor once any pool helper is no longer the object it was
+made with, as when a test patches one, and it keeps the last call's input
+and output alive until the next call replaces it.  verify maps the chains
+in text order, where neighbours share most of their first subsets, and the
+pair tuples in the order phi first reached them, where neighbours share
+most of their last pairs.
 
 Both directions of phi keep the subset I_k as a bit mask (bit v set for
 each member v).  settuple_to_chain grows I_i as an ascending list;
-closed_form_chain reads each value's first and last positions once and
-shares no code with it, so that each checks the other.
+closed_form_chain reads each value's last position once, builds I_i as a
+bit mask from the values seen and those that straddle i, and shares no code
+with it, so that each checks the other.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from typing import Sequence
 
 from .models import (
@@ -107,27 +130,38 @@ def settuple_to_chain(s: SetTuple) -> FeiginChain:
     return _trusted(FeiginChain, s.n, tuple(acc))
 
 
+@lru_cache(maxsize=1024)
+def _members(mask: int) -> tuple[int, ...]:
+    """The values v whose bit 1 << v is set in mask, ascending: the
+    subsets that closed_form_chain and phi_inverse build as masks."""
+    return tuple([v for v in range(mask.bit_length()) if mask >> v & 1])
+
+
 def closed_form_chain(s: SetTuple) -> FeiginChain:
     """Direct expression for the same chain, used as a cross-check:
 
     I_i = the values first seen in S_1..S_i, minus the values v <= i whose
     two occurrence positions straddle i.
     """
-    n = s.n
-    first = [0] * (n + 1)
+    # as bit masks: seen, the values met so far, and out, the values that
+    # straddle i.  A value that occurs twice occurs before its own position
+    # (the settuple's definition), so it straddles i exactly from i = v, when
+    # it has been seen already and occurs again, up to its last position
+    _, n, sets = s
     last = [0] * (n + 1)
-    for j, part in enumerate(s.sets, 1):
+    for j, part in enumerate(sets, 1):
         for v in part:
-            if not first[v]:
-                first[v] = j
             last[v] = j
-    values = range(1, n + 1)
+    seen = out = 0
     acc: list[tuple[int, ...]] = [()]
-    for i in values:
-        acc.append(tuple([
-            v for v in values
-            if first[v] <= i and not (v <= i and first[v] < i < last[v])
-        ]))
+    for i, part in enumerate(sets, 1):
+        if seen >> i & 1 and last[i] > i:
+            out |= 1 << i
+        for v in part:
+            if last[v] == i:
+                out &= ~(1 << v)
+            seen |= 1 << v
+        acc.append(_members(seen & ~out))
     return _trusted(FeiginChain, n, tuple(acc))
 
 
@@ -166,16 +200,31 @@ def _check_pool(pool: tuple[int, ...], members: int, n: int, k: int) -> None:
         )
 
 
+# the snapshot of the last call of each direction that returned (see the
+# module docstring), read once by a call and replaced whole
+_phi_last = None
+_inverse_last = None
+
+
 def phi_trace(chain: FeiginChain) -> tuple[HetyeiTuple, tuple[tuple[int, ...], ...]]:
     """phi plus its intermediate pools (L_0, L_1, .., L_n)."""
-    n = chain.n
-    pool = tuple(range(n, 0, -1))
-    pools = [pool]
-    pairs: list[tuple[int, int]] = [(0, 0)] * n
-    prev = 0  # I_{k-1}, bit v set for each member v
-    for k, part in enumerate(chain.subsets[1:], 1):
+    global _phi_last
+    _, n, subsets = chain
+    helpers = grow, swap, check = _grow_pool, _swap_pool, _check_pool
+    last = _phi_last
+    k = 0  # the steps done: step k depends on I_1 .. I_k alone
+    if last is not None and last[0] == helpers and last[1] == n:
+        _, _, seen, masks, pools, pairs = last
+        while k < n and subsets[k + 1] == seen[k + 1]:
+            k += 1
+        # entries after step k are overwritten below
+        masks, pools, pairs = list(masks), list(pools), list(pairs)
+    else:
+        masks, pools, pairs = [0] * (n + 1), [tuple(range(n, 0, -1))] * (n + 1), [(0, 0)] * n
+    pool, prev = pools[k], masks[k]  # L_k and I_k, bit v set for each member v
+    for k in range(k + 1, n + 1):
         cur = 0
-        for v in part:
+        for v in subsets[k]:
             cur |= 1 << v
         slot = n - k + 1
         added = cur & ~prev
@@ -183,7 +232,7 @@ def phi_trace(chain: FeiginChain) -> tuple[HetyeiTuple, tuple[tuple[int, ...], .
             # p <= slot, the pool's length before this step
             p = pool.index(added.bit_length() - 1) + 1
             pairs[slot - 1] = (p, p) if prev >> k & 1 else (p, slot)
-            pool = _grow_pool(pool, p)
+            pool = grow(pool, p)
         else:
             # I_k = (I_{k-1} - {k}) + {x, y}, x the low and y the high new bit
             x, y = (added & -added).bit_length() - 1, added.bit_length() - 1
@@ -191,11 +240,13 @@ def phi_trace(chain: FeiginChain) -> tuple[HetyeiTuple, tuple[tuple[int, ...], .
             if p > q:
                 p, q = q, p
             pairs[slot - 1] = (p, q)
-            pool = _swap_pool(pool, p, q, k)
-        _check_pool(pool, cur, n, k)
-        pools.append(pool)
+            pool = swap(pool, p, q, k)
+        check(pool, cur, n, k)
+        pools[k], masks[k] = pool, cur
         prev = cur
-    return _trusted(HetyeiTuple, n, tuple(pairs)), tuple(pools)
+    pairs, pools = tuple(pairs), tuple(pools)
+    _phi_last = (helpers, n, subsets, tuple(masks), pools, pairs)
+    return _trusted(HetyeiTuple, n, pairs), pools
 
 
 def phi(chain: FeiginChain) -> HetyeiTuple:
@@ -205,15 +256,25 @@ def phi(chain: FeiginChain) -> HetyeiTuple:
 
 def phi_inverse(m: HetyeiTuple) -> FeiginChain:
     """Inverse of phi, replaying pair slots from n down to 1."""
-    n = m.n
-    pool = tuple(range(n, 0, -1))
-    cur = 0  # I_k, bit v set for each member v
-    members: list[int] = []  # I_k, ascending
-    acc: list[tuple[int, ...]] = [()]
-    replayed = 0  # bit j set once j is an entry of a replayed pair
-    for k in range(1, n + 1):
+    global _inverse_last
+    _, n, pairs = m
+    helpers = grow, swap, check = _grow_pool, _swap_pool, _check_pool
+    last = _inverse_last
+    k = 0  # the steps done: step k depends on the pairs of slots n .. n-k+1 alone
+    if last is not None and last[0] == helpers and last[1] == n:
+        _, _, seen, pools, masks, replays, acc = last
+        while k < n and pairs[n - 1 - k] == seen[n - 1 - k]:
+            k += 1
+        # entries after step k are overwritten below
+        pools, masks, replays, acc = list(pools), list(masks), list(replays), list(acc)
+    else:
+        pools, acc = [tuple(range(n, 0, -1))] * (n + 1), [()] * (n + 1)
+        masks, replays = [0] * (n + 1), [0] * (n + 1)
+    pool, cur = pools[k], masks[k]  # L_k and I_k, bit v set for each member v
+    replayed = replays[k]  # bit j set once j is an entry of a replayed pair
+    for k in range(k + 1, n + 1):
         slot = n - k + 1
-        u, v = m.pairs[slot - 1]
+        u, v = pairs[slot - 1]
         if u == v or not replayed >> slot & 1:
             # growth step: the pair must be {p, p} or {p, slot}
             if u != v and v != slot:
@@ -224,8 +285,7 @@ def phi_inverse(m: HetyeiTuple) -> FeiginChain:
             if cur >> added & 1:
                 raise RuntimeError(f"replay error at step {k}: {added} already present")
             cur |= 1 << added
-            insort(members, added)
-            pool = _grow_pool(pool, u)
+            pool = grow(pool, u)
         else:
             if not cur >> k & 1:
                 raise RuntimeError(
@@ -233,14 +293,16 @@ def phi_inverse(m: HetyeiTuple) -> FeiginChain:
                 )
             x, y = pool[u - 1], pool[v - 1]
             cur = cur & ~(1 << k) | 1 << x | 1 << y
-            members.remove(k)
-            insort(members, x)
-            insort(members, y)
-            pool = _swap_pool(pool, u, v, k)
-        _check_pool(pool, cur, n, k)
+            pool = swap(pool, u, v, k)
+        check(pool, cur, n, k)
         replayed |= 1 << u | 1 << v
-        acc.append(tuple(members))
-    return _trusted(FeiginChain, n, tuple(acc))
+        pools[k] = pool
+        masks[k] = cur
+        replays[k] = replayed
+        acc[k] = _members(cur)
+    acc = tuple(acc)
+    _inverse_last = (helpers, n, pairs, tuple(pools), tuple(masks), tuple(replays), acc)
+    return _trusted(FeiginChain, n, acc)
 
 
 # ---------------------------------------------------------------------------

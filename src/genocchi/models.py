@@ -67,16 +67,18 @@ choices in that order or, for a state with at most _BLOCK_SIZE
 completions, the block of them, each as its text and its components; a
 dead state's block is empty, so while it is remembered it costs a lookup
 and not a walk.  The walk yields a block each time it follows a prefix,
-with the prefix's text and components, so an object below a block
-costs no step of the walk, only one string and one tuple concatenation of
-the prefix and its completion, which listing makes as it yields the
-object.  listing yields each object exactly once as the pair (its
-canonical serialization, the object), written from the fragments without
-serializing the object again, and asked for the statistics, as the
-quadruple (text, object, k, l): the walk folds each family's statistics
-through its frames and blocks, a frame keeping its prefix's summary and a
-block's completion its suffix's, so an object's k and l take one join of
-the two and no statistic is computed from the object.  The lines of
+with the prefix's text and its length in the walk's own list of
+components, so an object below a block costs no step of the walk, only one
+string and one tuple concatenation of the prefix and its completion, which
+listing makes as it yields the object; listing copies a block's prefix
+components once, and _lines never does.  listing yields each object
+exactly once as the pair (its canonical serialization, the object),
+written from the fragments without serializing the object again, and
+asked for the statistics, as the quadruple (text, object, k, l): the
+walk folds each family's statistics through its frames and blocks, a frame
+keeping its prefix's summary and a block's completion its suffix's, so an
+object's k and l take one join of the two and no statistic is computed
+from the object.  The lines of
 `enumerate` in the text format are written a block at a time from the
 same texts and joins (_lines), with no object built.
 enumerate_model yields the objects of the same walk.  Both are lazy
@@ -385,16 +387,23 @@ class DumontPermutation(ModelObject):
         return (self.word[-1] - 1) // 2
 
     def _t(self) -> DumontPermutation:
-        k, l = k_statistic(self), l_statistic(self)
+        # the 4-cycle 2k -> 2l -> 2l+1 -> 2k+1 -> 2k on the values, k and l
+        # read as _k and _l read them; each of the four occurs once
+        _, n, word = self
+        k, l = word[0] // 2, (word[-1] - 1) // 2
         if k == l:
             return self
-        cycle = {2 * k: 2 * l, 2 * l: 2 * l + 1, 2 * l + 1: 2 * k + 1, 2 * k + 1: 2 * k}
-        return _trusted(DumontPermutation, self.n, tuple(cycle.get(v, v) for v in self.word))
+        out = list(word)
+        at = out.index
+        a, b, c, d = at(2 * k), at(2 * l), at(2 * l + 1), at(2 * k + 1)
+        out[a], out[b], out[c], out[d] = 2 * l, 2 * l + 1, 2 * k + 1, 2 * k
+        return _trusted(DumontPermutation, n, tuple(out))
 
     def _r(self) -> DumontPermutation:
         # sigma^r(i) = 2n+3 - sigma(2n+3-i)
-        m = 2 * self.n + 3
-        return _trusted(DumontPermutation, self.n, tuple(m - v for v in reversed(self.word)))
+        _, n, word = self
+        m = 2 * n + 3
+        return _trusted(DumontPermutation, n, tuple([m - v for v in word[::-1]]))
 
     def _reduce(self) -> DumontPermutation:
         # with l = n, positions 2n+1, 2n+2 necessarily hold 2n+2, 2n+1
@@ -449,14 +458,15 @@ class DellacConfiguration(ModelObject):
 
     def _t(self) -> DellacConfiguration:
         # swap the dots of rows n and n+1
-        cols = list(self.row_columns)
-        cols[self.n - 1], cols[self.n] = cols[self.n], cols[self.n - 1]
-        return _trusted(DellacConfiguration, self.n, tuple(cols))
+        _, n, cols = self
+        swapped = cols[:n - 1] + (cols[n], cols[n - 1]) + cols[n + 1:]
+        return _trusted(DellacConfiguration, n, swapped)
 
     def _r(self) -> DellacConfiguration:
         # half-turn of the board: the dot (j, i) moves to (n+1-j, 2n+1-i)
-        n = self.n
-        return _trusted(DellacConfiguration, n, tuple(n + 1 - c for c in reversed(self.row_columns)))
+        _, n, cols = self
+        m = n + 1
+        return _trusted(DellacConfiguration, n, tuple([m - c for c in cols[::-1]]))
 
     def _reduce(self) -> DellacConfiguration:
         n = self.n
@@ -591,18 +601,10 @@ class SetTuple(ModelObject):
                 return j
 
     def _t(self) -> SetTuple:
-        # exchange the values 1 and n; a part holds one value or two ascending
-        n = self.n
-        swap = list(range(n + 1))
-        swap[1], swap[n] = n, 1
-        parts = []
-        for part in self.sets:
-            if len(part) == 1:
-                parts.append((swap[part[0]],))
-            else:
-                u, v = swap[part[0]], swap[part[1]]
-                parts.append((u, v) if u < v else (v, u))
-        return _trusted(SetTuple, n, tuple(parts))
+        # exchange the values 1 and n: a part that holds neither stays
+        _, n, sets = self
+        moved = _exchanged_parts(n).get
+        return _trusted(SetTuple, n, tuple(map(moved, sets, sets)))
 
     def _r(self) -> SetTuple:
         # v -> n+1-v reverses the order of a part's values
@@ -625,6 +627,18 @@ class SetTuple(ModelObject):
     def from_text(cls, text: str) -> "SetTuple":
         sets = _parts(text, cls._sep, cls._read)
         return _validated(cls, len(sets), sets)
+
+
+@lru_cache(maxsize=64)
+def _exchanged_parts(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each part of an order-n settuple that holds 1 or n, with its image
+    when the values 1 and n are exchanged, its values kept ascending; a
+    part holds one value or two.  O(n) entries, one table per order."""
+    table = {(1,): (n,), (n,): (1,)}
+    for v in range(2, n):
+        table[(1, v)] = (v, n)
+        table[(v, n)] = (1, v)
+    return table
 
 
 class HetyeiTuple(ModelObject):
@@ -1103,8 +1117,11 @@ def _walk(model: str, n: int, stats: bool = False) -> tuple:
 def _blocks(cls, size: int, step, fold, stats: bool) -> Iterator[tuple]:
     """The objects of the family in text order, as blocks: a depth-first
     walk of its rule in one loop, which keeps its path in a list of frames
-    and yields a block each time it follows a prefix, as the quadruple
-    (the prefix's text, its components, the block, the prefix's summary).
+    and yields a block each time it follows a prefix, as the quintuple
+    (the prefix's text, the walk's list of components, the prefix's length
+    j, the block, the prefix's summary): the prefix's components are the
+    list's first j until the walk resumes, so only a reader that needs them
+    copies them.
     A block is a tuple of completions, each (its text, its components), and
     with stats (its text, its components, its summary); an object is the
     prefix followed by one completion, its text the two texts joined.
@@ -1199,7 +1216,7 @@ def _blocks(cls, size: int, step, fold, stats: bool) -> Iterator[tuple]:
                 rest, at = iter(choices), above
                 continue
             if below:  # a block, whose completions follow the prefix
-                yield prefix + fragment, tuple(acc[:j]), below, above
+                yield prefix + fragment, acc, j, below, above
         elif path:  # the state's choices ran out: back to its parent
             below = choices if block is None else tuple(block)
             i, prefix, choices, rest, block, at, c, fragment, key, fresh = path.pop()
@@ -1303,12 +1320,14 @@ def _objects(model: str, n: int, stats: bool) -> Iterator[tuple]:
     join, blocks = _walk(model, n, stats)
     # each object is built as _trusted builds it, with no call
     if stats:
-        for text, head, below, above in blocks:
+        for text, acc, j, below, above in blocks:
+            head = tuple(acc[:j])
             for suffix, comps, summary in below:
                 yield (text + suffix, _new_tuple(cls, (tag, n, head + comps)),
                        *join(above, summary))
     else:
-        for text, head, below, _ in blocks:
+        for text, acc, j, below, _ in blocks:
+            head = tuple(acc[:j])
             for suffix, comps in below:
                 yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
 
@@ -1325,11 +1344,11 @@ def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[list[
 def _block_lines(model: str, n: int, stats: bool) -> Iterator[list[str]]:
     join, blocks = _walk(model, n, stats)
     if stats:
-        for text, _, below, above in blocks:
+        for text, _, _, below, above in blocks:
             yield [f"{text}{suffix}\tk={k} l={l}\n"
                    for suffix, _, summary in below for k, l in (join(above, summary),)]
     else:
-        for text, _, below, _ in blocks:
+        for text, _, _, below, _ in blocks:
             yield [f"{text}{suffix}\n" for suffix, _ in below]
 
 

@@ -20,7 +20,11 @@ enumeration plus the structural maps on the other.  A full run covers
 Each order is one pass: each of the five cells is built in one pass over
 its listing, and each object's statistics and map images are computed once
 and read by every check that needs them; order n - 1 is kept for the
-reduce/lift checks.
+reduce/lift checks.  phi and phi_inverse resume where their last call left
+off (see maps): phi maps the chains in text order, and phi_inverse maps the
+Hetyei cell in the order phi first reached its tuples, then any tuple phi
+missed, so that neighbours share their last pairs.  Each result is stored
+at its tuple's position, so no table and no witness depends on that order.
 
 Enumerators and maps build their objects without validating them (see
 models).  The serialization round-trip parses each object's text, as the
@@ -407,7 +411,16 @@ def _bijection_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> Non
     _check(report.checks, "phi-image", "hetyei", n,
            None not in first and len(first) == len(hetyeis.objs),
            "phi image differs from the enumerated pair tuples")
-    from_pairs = hetyeis.positions(maps.phi_inverse, chains)
+    # phi_inverse resumes after the pairs its last tuple ends in, and the
+    # images of neighbouring chains share their last pairs: map the tuples
+    # in the order phi first reached them, then those it missed, and keep
+    # each result at its tuple's position
+    order = [j for j in first if j is not None]
+    order += [j for j in range(len(hetyeis.objs)) if j not in first]
+    from_pairs: list[int | None] = [None] * len(order)
+    find = chains.pos.get
+    for j in order:
+        from_pairs[j] = find(maps.phi_inverse(hetyeis.objs[j]))
     bad = _first_bad(chains.objs, _returns(enumerate(to_pairs), from_pairs))
     _check(report.checks, "phi-roundtrip", "hetyei", n, bad is None, bad)
     bad = _first_bad(hetyeis.objs, _returns(enumerate(from_pairs), to_pairs))

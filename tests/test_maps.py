@@ -7,6 +7,10 @@ and transport the statistics the way the cell placements require.
 
 from __future__ import annotations
 
+import random
+import re
+import sys
+import threading
 from itertools import permutations
 
 import pytest
@@ -112,6 +116,103 @@ def test_pool_check_fires_at_the_faulty_step(monkeypatch, helper, fault, directi
     assert str(caught.value).startswith(f"pool invariant broken at step {len(faulted)}:")
 
 
+@pytest.mark.parametrize("helper", ["_grow_pool", "_swap_pool"])
+@pytest.mark.parametrize("fault", POOL_FAULTS)
+@pytest.mark.parametrize("direction", ["phi", "phi_inverse"])
+def test_a_resumed_map_checks_every_step_it_computes(monkeypatch, helper, fault, direction):
+    # a map resumes only with the helpers it saved its state with: after
+    # both directions have mapped SWAP_CHAIN unpatched, a patched helper runs,
+    # and is checked, at every step, so its fault fires as from a fresh state
+    chain = obj("chain", SWAP_CHAIN)
+    start = chain if direction == "phi" else maps.phi(chain)
+    faulted = []  # one entry per step: whether its new pool was broken
+
+    def counted(name):
+        real = getattr(maps, name)
+
+        def update(pool, *args):
+            out = real(pool, *args)
+            faulted.append(name == helper and len(out) >= 3)
+            return POOL_FAULTS[fault](out) if faulted[-1] else out
+
+        return update
+
+    patched = {name: counted(name) for name in ("_grow_pool", "_swap_pool")}
+
+    def fault_and_step():
+        del faulted[:]
+        with monkeypatch.context() as m:
+            for name, update in patched.items():
+                m.setattr(maps, name, update)
+            with pytest.raises(RuntimeError, match=r"^pool invariant broken") as caught:
+                getattr(maps, direction)(start)
+        return str(caught.value), len(faulted)
+
+    fresh = fault_and_step()
+    assert maps.phi_inverse(maps.phi(chain)) == chain
+    assert fault_and_step() == fresh
+    # the first broken pool stops the map, at the step the message names
+    assert faulted.index(True) == len(faulted) - 1
+    assert fresh[0].startswith(f"pool invariant broken at step {fresh[1]}:")
+
+
+# phi_inverse's three errors besides the pool check, each on a replay built
+# unvalidated: its pairs; pairs that replay without error and end in the
+# same `shared` pairs; the fault of the pool helpers the error needs; the
+# message; and the step it stops at.  With correct helpers the pool lists
+# the complement of the subset, so a value read from it is never present
+# already, and a slot that an earlier pair named has put its step's value
+# in the subset.  The other two errors need helpers that break this:
+# "rotated" turns the pool after each growth step, which keeps its values,
+# so the pool check passes; "kept" leaves the value a growth step takes in
+# the pool, which only a pool check that checks nothing lets through.
+PHI_INVERSE_ERRORS = [
+    (((1, 1), (1, 1), (1, 2), (1, 2), (4, 5)), ((1, 1), (1, 1), (1, 3), (1, 2), (4, 5)), 2,
+     None, "pair (1,2) at slot 3 fits no growth form; tuple is corrupt", 3),
+    (((1, 1), (1, 2), (2, 2), (3, 4)), ((1, 1), (1, 1), (2, 2), (3, 4)), 2,
+     "rotated", "swap step at slot 2 but 3 is absent from the subset", 3),
+    (((1, 1), (1, 1), (1, 2), (3, 4)), ((1, 1), (1, 2), (1, 2), (3, 4)), 2,
+     "kept", "replay error at step 4: 2 already present", 4),
+]
+
+
+@pytest.mark.parametrize("corrupt,fine,shared,fault,message,step", PHI_INVERSE_ERRORS,
+                         ids=["growth-form", "swap-absent", "replay-present"])
+def test_phi_inverse_stops_a_corrupt_replay_at_its_step(monkeypatch, corrupt, fine, shared,
+                                                       fault, message, step):
+    checked = []  # the step of each pool check
+    real_grow, real_check = maps._grow_pool, maps._check_pool
+
+    def grow(pool, p):
+        if fault == "kept":
+            return pool[:-1]
+        out = real_grow(pool, p)
+        return out[1:] + out[:1] if fault == "rotated" else out
+
+    def check(pool, members, n, k):
+        checked.append(k)
+        if fault != "kept":
+            real_check(pool, members, n, k)
+
+    # new helpers: nothing saved before this test is resumed
+    monkeypatch.setattr(maps, "_grow_pool", grow)
+    monkeypatch.setattr(maps, "_check_pool", check)
+    n = len(corrupt)
+    bad, good = (models._trusted(models.HetyeiTuple, n, pairs) for pairs in (corrupt, fine))
+    assert corrupt[n - shared:] == fine[n - shared:]
+    assert corrupt[n - shared - 1] != fine[n - shared - 1]
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(RuntimeError, match=pattern):
+        maps.phi_inverse(bad)
+    assert checked == list(range(1, step))
+    maps.phi_inverse(good)
+    del checked[:]
+    # resumed after the shared pairs: each later step before the error is checked
+    with pytest.raises(RuntimeError, match=pattern):
+        maps.phi_inverse(bad)
+    assert checked == list(range(shared + 1, step))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_phi_roundtrip_exhaustive(n, objects):
     image = set()
@@ -123,6 +224,57 @@ def test_phi_roundtrip_exhaustive(n, objects):
     assert image == set(objects("hetyei", n))
     for m in objects("hetyei", n):
         assert maps.phi(maps.phi_inverse(m)) == m
+
+
+def _in_orders(fn, objs, other) -> dict[str, list]:
+    """fn of each of objs, in objs' order, from the calls made in each
+    order: text, reversed, shuffled, interleaved with calls on `other`, an
+    object of another order (so no call resumes), and from two threads
+    mapping interleaved halves."""
+    count = len(objs)
+    shuffled = list(range(count))
+    random.Random(count).shuffle(shuffled)
+    runs = {"text": [fn(o) for o in objs],
+            "reversed": [fn(o) for o in reversed(objs)][::-1],
+            "shuffled": [None] * count,
+            "fresh": [(fn(other), fn(o))[1] for o in objs]}
+    for i in shuffled:
+        runs["shuffled"][i] = fn(objs[i])
+    threaded = runs["threads"] = [None] * count
+
+    def half(start: int) -> None:
+        for i in range(start, count, 2):
+            threaded[i] = fn(objs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        workers = [threading.Thread(target=half, args=(start,)) for start in (0, 1)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    return runs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_resumed_phi_maps_agree_in_any_call_order(n, objects):
+    # phi resumes after the subsets its last chain began with, phi_inverse
+    # after the pairs its last tuple ended in; the order of the calls, and a
+    # second thread's calls between them, change no image
+    chains, tuples = objects("chain", n), objects("hetyei", n)
+    other = 2 if n == 1 else 1
+    images = _in_orders(maps.phi, chains, objects("chain", other)[0])
+    preimages = _in_orders(maps.phi_inverse, tuples, objects("hetyei", other)[0])
+    for runs in (images, preimages):
+        for name, got in runs.items():
+            assert got == runs["fresh"], name
+    inverse = dict(zip(tuples, preimages["fresh"]))
+    assert [inverse[m] for m in images["fresh"]] == list(chains)
+    assert sorted(map(models.serialize, images["fresh"])) == list(map(models.serialize, tuples))
 
 
 def test_redundancy_transport_small(objects):
