@@ -96,12 +96,11 @@ def _write_blocks(blocks) -> None:
 def _dump_json_list(items) -> None:
     """Print what _dump_json(list(items)) prints, holding one batch at a time."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    sep = ""
-    sys.stdout.write("[")
+    sep = "["
     for batch in _batches(items):
         sys.stdout.write(sep + encode(batch)[1:-1])  # "[a, b]" without its brackets
         sep = ", "
-    sys.stdout.write("]\n")
+    sys.stdout.write("[]\n" if sep == "[" else "]\n")
 
 
 @contextlib.contextmanager
@@ -156,14 +155,14 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     # the walk writes each object's text, and with --stats its k and l,
-    # folded from the same choices.  Every format builds the walk's first
-    # block before it writes anything, so an order whose first block runs
-    # out of memory leaves stdout empty, with no lone "[" in json
+    # folded from the same choices.  Every format writes nothing before it
+    # has built its first lines or batch: csv its header with its first
+    # rows, json its "[" with its first items, so an order whose first
+    # block runs out of memory leaves stdout empty
     if args.format == "text":  # a block's lines at a time, and no object
         _write_blocks(models._lines(args.model, args.n, args.guard, args.stats))
         return 0
     pairs = models.listing(args.model, args.n, args.guard, stats=args.stats)
-    pairs = chain((next(pairs),), pairs)
     if args.stats:
         if args.format == "csv":
             _write_csv(("serialization", "k", "l"), ((text, k, l) for text, _, k, l in pairs))

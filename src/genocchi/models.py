@@ -106,7 +106,13 @@ data is also read by its name (word, row_columns, subsets, sets, pairs).
 Invariants are validated at the boundary, once: the public constructor
 shared by the five classes (DumontPermutation(n, word), ...,
 HetyeiTuple(n, pairs)) and parse check every defining condition and raise
-the first violation, as does maps.embed_permutation for its word.  The
+the first violation, as does maps.embed_permutation for its word.  Each
+family's validator checks the order and the length (and for pd2n that the
+word is a permutation), makes one left-to-right pass over the components,
+then checks what needs the whole object (pd2n's normalization, dellac's
+column loads, settuple's occurrences, hetyei's coverage).  The violation
+raised is the first in that order: HetyeiTuple checks each pair's size,
+then its order, then its range, before it reads the next pair.  The
 constructor also takes only an int order and data of exact types, a tuple
 of ints or of tuples of ints, so no bool, float or list, which equals an
 int or a tuple but does not write as one, is built into an object.  The
@@ -132,7 +138,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import gt, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Iterator
 
 from .triangles import normalized_genocchi
@@ -359,20 +365,18 @@ class DumontPermutation(ModelObject):
             raise ModelInvariantError(f"word length must be {m} for order {n}, got {len(word)}")
         if sorted(word) != list(range(1, m + 1)):
             raise ModelInvariantError(f"word is not a permutation of 1..{m}")
+        pos = [0] * (m + 1)  # pos[v]: the position of value v
         # sigma(p) > p at the odd positions p, sigma(p) < p at the even ones
-        if not (all(map(gt, word[0::2], range(1, m, 2)))
-                and all(map(lt, word[1::2], range(2, m + 1, 2)))):
-            for p, v in enumerate(word, 1):
-                if p % 2 and v <= p:
+        for p, v in enumerate(word, 1):
+            if p % 2:
+                if v <= p:
                     raise ModelInvariantError(
                         f"excedance condition fails: sigma({p}) = {v} is not > {p}"
                     )
-                if not p % 2 and v >= p:
-                    raise ModelInvariantError(
-                        f"deficiency condition fails: sigma({p}) = {v} is not < {p}"
-                    )
-        pos = [0] * (m + 1)  # pos[v]: the position of value v
-        for p, v in enumerate(word):
+            elif v >= p:
+                raise ModelInvariantError(
+                    f"deficiency condition fails: sigma({p}) = {v} is not < {p}"
+                )
             pos[v] = p
         for i in range(1, n + 1):
             if pos[2 * i] > pos[2 * i + 1]:
@@ -655,11 +659,11 @@ class HetyeiTuple(ModelObject):
             raise ModelInvariantError(f"order must be >= 1, got {n}")
         if len(pairs) != n:
             raise ModelInvariantError(f"need {n} pairs for order {n}, got {len(pairs)}")
-        if {*map(len, pairs)} != {2}:
-            l, pair = next((l, pair) for l, pair in enumerate(pairs, 1) if len(pair) != 2)
-            raise ModelInvariantError(f"pair {l} has size {len(pair)}, expected 2")
         covered = 0  # bit x set once value x is an entry
-        for l, (u, v) in enumerate(pairs, 1):
+        for l, pair in enumerate(pairs, 1):
+            if len(pair) != 2:
+                raise ModelInvariantError(f"pair {l} has size {len(pair)}, expected 2")
+            u, v = pair
             if u > v:
                 raise ModelInvariantError(f"pair {l} is not sorted: {u} > {v}")
             if not (1 <= u and v <= l):

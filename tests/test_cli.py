@@ -169,6 +169,13 @@ def test_sequence_json_is_the_dumped_list(capsys):
     assert out == json.dumps(values, sort_keys=True) + "\n"
 
 
+def test_an_empty_json_list_is_the_dumped_list(capsys):
+    # no command lists an empty sequence today; the "[" waits for a batch
+    # that never comes, and is written with the "]"
+    cli._dump_json_list(iter(()))
+    assert capsys.readouterr().out == json.dumps([]) + "\n"
+
+
 def traced_peak(monkeypatch, sink, *argv):
     """Exit code and tracemalloc peak of main(argv), with stdout sent to sink."""
     monkeypatch.setattr("sys.stdout", sink)
@@ -403,9 +410,13 @@ def _out_of_memory_on(model, real):
 
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--model", "hetyei", "--n", "3"),
+    ("enumerate", "--model", "hetyei", "--n", "3", "--format", "csv"),
+    ("enumerate", "--model", "hetyei", "--n", "3", "--format", "json"),
+    ("enumerate", "--model", "hetyei", "--n", "3", "--stats", "--format", "json"),
     ("count", "--model", "dellac", "--n", "3"),
     ("verify", "--max-n", "3"),
-], ids=["enumerate", "count", "verify"])
+], ids=["enumerate", "enumerate-csv", "enumerate-json", "enumerate-stats-json",
+        "count", "verify"])
 def test_running_out_of_memory_exits_2(capsys, monkeypatch, argv):
     monkeypatch.setattr(models, "_walk", _out_of_memory_on("hetyei", models._walk))
     monkeypatch.setattr(models, "_tally", _out_of_memory_on("dellac", models._tally))

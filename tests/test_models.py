@@ -257,6 +257,8 @@ INVARIANT_MESSAGES = [
     (HetyeiTuple, 1, ((1,),), "pair 1 has size 1, expected 2"),
     (HetyeiTuple, 1, ((1, 1, 1),), "pair 1 has size 3, expected 2"),
     (HetyeiTuple, 1, ((),), "pair 1 has size 0, expected 2"),
+    # ... read in its turn, after the earlier pairs' checks
+    (HetyeiTuple, 2, ((2, 1), (1,)), "pair 1 is not sorted: 2 > 1"),
 ]
 
 
@@ -770,6 +772,16 @@ def test_no_object_the_api_builds_changes_a_later_serialization(one):
 )
 def test_syntax_errors_name_the_text(model, text):
     with pytest.raises(ModelSyntaxError, match=re.escape(repr(text))):
+        models.parse(model, text)
+
+
+@pytest.mark.parametrize("model,text,message", [
+    ("pd2n", "2 1 6", "word length must be an even number >= 4, got 3 in '2 1 6'"),
+    ("dellac", "1", "row count must be an even number >= 2, got 1 in '1'"),
+    ("chain", "", "chain needs at least subsets I_0 and I_1 in ''"),
+])
+def test_wrong_length_syntax_messages(model, text, message):
+    with pytest.raises(ModelSyntaxError, match=f"^{re.escape(message)}$"):
         models.parse(model, text)
 
 
