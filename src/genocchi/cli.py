@@ -6,6 +6,13 @@ and --format json emits stable JSON.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including refused resource guards), 3 invalid input
 object.  `map` reads its input object from --input or, when omitted, from
 standard input.
+
+`main(argv)` may be called repeatedly in one process: it builds its parser
+once, at the first call, and every later call reuses it, so an in-process
+caller pays for the argparse tree once, while a one-shot `genocchi` process
+builds it once, as it always did.  Each call still parses into a new
+namespace and writes its help and usage errors to that call's stdout and
+stderr, wrapped to the terminal width at that call.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, islice
 
 from . import maps, models, triangles
@@ -242,7 +250,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # the parser holds only what is fixed for the life of the process:
+    # choices, defaults, types and help text
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default text)")

@@ -1247,10 +1247,14 @@ def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
     step, each state's completions counted by their suffix's summary: the
     fold's carry adds, for each choice, the table of the state it leads to,
     with the choice put before each suffix, as push would summarize it.  A
-    state after the last step has one completion, the empty suffix, whose
-    summary is (0, 0), as for a leaf block's completions in the walk.  The
-    root's completions are whole objects, so the join with the empty prefix
-    turns their summaries into their (k, l)."""
+    choice into a dead state, one with no completion, is skipped: its table
+    is empty, and no pd2n or dellac step marks both statistics, the one
+    case where carry would add an entry for an empty table (the other
+    families have no dead states).  A state after the last step has one
+    completion, the empty suffix, whose summary is (0, 0), as for a leaf
+    block's completions in the walk.  The root's completions are whole
+    objects, so the join with the empty prefix turns their summaries into
+    their (k, l)."""
     size, step, (root, _, _, join, carry) = _RULES[model](n)
     levels = []
     states = {0}
@@ -1263,7 +1267,8 @@ def _tally(model: str, n: int) -> dict[tuple[int, int], int]:
         for state, choices in levels.pop().items():
             here = counts[state] = {}
             for c, new in choices:
-                carry(i, c, below[new], here)
+                if table := below[new]:
+                    carry(i, c, table, here)
         below = counts
     table: dict[tuple[int, int], int] = {}
     for summary, count in below[0].items():

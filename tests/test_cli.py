@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -463,9 +464,130 @@ def test_usage_errors_exit_2(capsys):
                "--format", "yaml")[0] == 2
 
 
-def test_help_exits_zero(capsys):
+def test_help_exits_zero(capsys, monkeypatch):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "map", "--help")[0] == 0
+    for command in HELP_SHA256:
+        code, out, _ = run(capsys, *command.split(), "--help")
+        assert code == 0
+        assert out.startswith("usage: genocchi")
+    # the parser is built once a process, but its help is wrapped to the
+    # terminal width at each call
+    wrapped = {}
+    for columns in ("50", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, wrapped[columns], _ = run(capsys, "count", "--help")
+        assert code == 0
+    assert wrapped["50"] != wrapped["120"]
+    assert max(map(len, wrapped["120"].splitlines())) > 50
+
+
+# sha256 of `--help` under COLUMNS=80, for the root command and each
+# subcommand: (Python 3.10-3.12, Python 3.13), whose argparse lays out the
+# usage lines and the command list otherwise
+HELP_SHA256 = {
+    "": ("ced894610aa3d7518f3ec661e20d5dcfd59846924e1bdd879fa3abaa7b5fd0fd",
+         "99cb678b66532b96128f304369508fdc89c9b1072c2ea9a403ea34b9f976fd2e"),
+    "triangle": ("62d602a7ba22aa1b386cde7f1a7cc33419ebafb2e425cdafd70710683681004d",
+                 "62d602a7ba22aa1b386cde7f1a7cc33419ebafb2e425cdafd70710683681004d"),
+    "sequence": ("548782273744f2e725081e41ae378250521c5fb68fdb4c87c0588b20ba6fdd50",
+                 "548782273744f2e725081e41ae378250521c5fb68fdb4c87c0588b20ba6fdd50"),
+    "enumerate": ("797968555e2290bd4dd63891cf4113517b674e8c4752f42f8369bfc6ba60a7c1",
+                  "a953ffcd32f6ca73540812fe93baa28d22465d3f1d85b26033ee6748a5682e27"),
+    "count": ("adb0a13d0426d57bd838627c4505841e95e31bded5741b92dd2e8338d9ee8c15",
+              "581698af0d431ceb4ff7b7ef411668d661e28495eff4b1e204e34b447fff703f"),
+    "map": ("fa02e015b7d272f108a2e7458553969ca5a2e8875953fcd33e0d99d74e037a80",
+            "52b6051a804349d10d7e400dc73ca8f8520307288dc570370279919b6854eeda"),
+    "verify": ("155379ba44813d41a582e1214d2b44060d6dddf44a43cb5c5d28afebbdd1d615",
+               "155379ba44813d41a582e1214d2b44060d6dddf44a43cb5c5d28afebbdd1d615"),
+}
+_HELP_LAYOUT = {(3, 10): 0, (3, 11): 0, (3, 12): 0, (3, 13): 1}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    layout = _HELP_LAYOUT.get(sys.version_info[:2])
+    if layout is None:
+        pytest.skip("no help pins for this Python's argparse")
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *command.split(), "--help")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command][layout]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "count", "--model", "dellac", "--n", "3")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    calls = [
+        ("triangle", "kreweras", "--rows", "3"),
+        ("triangle", "seidel", "--rows", "2", "--format", "csv"),
+        ("sequence", "genocchi", "--count", "4"),
+        ("sequence", "median", "--count", "3", "--format", "json"),
+        ("enumerate", "--model", "chain", "--n", "3"),
+        ("enumerate", "--model", "hetyei", "--n", "3", "--stats", "--format", "csv"),
+        ("count", "--model", "pd2n", "--n", "4", "--by", "l"),
+        ("count", "--model", "settuple", "--n", "4", "--format", "json"),
+        ("count", "--model", "dellac", "--n", "9"),
+        ("map", "--op", "phi", "--input", ";3;1,3;1,2,3"),
+        ("map", "--op", "t", "--model", "pd2n", "--input", "2 1 4 3"),
+        ("map", "--op", "phi", "--input", ";3;3,1"),
+        ("verify", "--max-n", "2", "--pairs-n", "1"),
+        ("verify", "--max-n", "2", "--pairs-n", "0", "--json"),
+        ("--help",),
+        ("count", "--help"),
+        ("verify", "--help"),
+        ("bogus",),
+        ("triangle", "kreweras"),
+        ("enumerate", "--model", "pd2n", "--n", "2", "--format", "yaml"),
+    ]
+    codes = [run(capsys, *argv)[0] for argv in calls]
+    assert built == []
+    assert codes == [0] * 8 + [2] + [0, 0, 3, 0, 0, 0, 0, 0, 2, 2, 2]
+
+
+# one process's calls, in an order where each could see what the last left:
+# a json verify before a plain count, the last of --json and --format
+# winning either way, a usage error, a refused guard, an invalid map input
+# and csv
+STATELESS_CALLS = [
+    ("verify", "--max-n", "3", "--json"),
+    ("count", "--model", "dellac", "--n", "5"),
+    ("verify", "--max-n", "3", "--json", "--format", "text"),
+    ("verify", "--max-n", "3", "--format", "text", "--json"),
+    ("triangle", "kreweras"),
+    ("count", "--model", "dellac", "--n", "9"),
+    ("map", "--op", "phi", "--input", ";3;3,1"),
+    ("count", "--model", "hetyei", "--n", "5", "--format", "csv"),
+]
+
+
+def test_calls_in_one_process_carry_no_state(capsys, monkeypatch):
+    # each call must give what its argv gives as the first call of a fresh
+    # process, whichever calls ran before it
+    env = dict(package_env(), COLUMNS="80")
+    fresh = []
+    for argv in STATELESS_CALLS:
+        done = subprocess.run([sys.executable, "-m", "genocchi.cli", *argv], env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              timeout=120)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 3, 0]
+    assert fresh[1] == (0, "295\n", "")
+    assert fresh[2][1].endswith("overall: PASS\n")
+    assert fresh[3][1] == fresh[0][1]
+    assert fresh[5][1] == ""
+    expected = dict(zip(STATELESS_CALLS, fresh))
+    monkeypatch.setenv("COLUMNS", "80")
+    for order in (STATELESS_CALLS, STATELESS_CALLS[::-1]):
+        for argv in order:
+            assert run(capsys, *argv) == expected[argv], argv
 
 
 def test_verify_subcommand(capsys):
