@@ -90,14 +90,16 @@ def _batches(items):
 
 
 def _write_blocks(blocks) -> None:
-    """Write the lists of lines, each line ending in a newline, at least
-    _BATCH lines at a time but the last time."""
-    batch = []
-    for lines in blocks:
-        batch += lines
-        if len(batch) >= _BATCH:
+    """Write the blocks, each the pair (its lines as one string, each line
+    ending in a newline, their number), at least _BATCH lines at a time but
+    the last time."""
+    batch, lines = [], 0
+    for block, count in blocks:
+        batch.append(block)
+        lines += count
+        if lines >= _BATCH:
             sys.stdout.write("".join(batch))
-            batch = []
+            batch, lines = [], 0
     sys.stdout.write("".join(batch))
 
 

@@ -79,8 +79,11 @@ walk folds each family's statistics through its frames and blocks, a frame
 keeping its prefix's summary and a block's completion its suffix's, so an
 object's k and l take one join of the two and no statistic is computed
 from the object.  The lines of
-`enumerate` in the text format are written a block at a time from the
-same texts and joins (_lines), with no object built.
+`enumerate` in the text format are written a block at a time, each block
+as one string (_lines), with no object built: the suffix lines of each
+(block, prefix summary) the walk meets are rendered once, through the
+fold's join, and each time the walk yields them again they are joined at
+the prefix's text.
 enumerate_model yields the objects of the same walk.  Both are lazy
 iterators, ordered lexicographically by the serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
@@ -136,6 +139,7 @@ fragments come from the same writers.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter, lt
@@ -1121,11 +1125,13 @@ def _walk(model: str, n: int, stats: bool = False) -> tuple:
 def _blocks(cls, size: int, step, fold, stats: bool) -> Iterator[tuple]:
     """The objects of the family in text order, as blocks: a depth-first
     walk of its rule in one loop, which keeps its path in a list of frames
-    and yields a block each time it follows a prefix, as the quintuple
+    and yields a block each time it follows a prefix, as the sextuple
     (the prefix's text, the walk's list of components, the prefix's length
-    j, the block, the prefix's summary): the prefix's components are the
-    list's first j until the walk resumes, so only a reader that needs them
-    copies them.
+    j, the block's memo key, the block, the prefix's summary): the prefix's
+    components are the list's first j until the walk resumes, so only a
+    reader that needs them copies them.  The memo key stands for the
+    block's (step, state), whose completions are the same each time the
+    walk builds the block.
     A block is a tuple of completions, each (its text, its components), and
     with stats (its text, its components, its summary); an object is the
     prefix followed by one completion, its text the two texts joined.
@@ -1220,7 +1226,7 @@ def _blocks(cls, size: int, step, fold, stats: bool) -> Iterator[tuple]:
                 rest, at = iter(choices), above
                 continue
             if below:  # a block, whose completions follow the prefix
-                yield prefix + fragment, acc, j, below, above
+                yield prefix + fragment, acc, j, key, below, above
         elif path:  # the state's choices ran out: back to its parent
             below = choices if block is None else tuple(block)
             i, prefix, choices, rest, block, at, c, fragment, key, fresh = path.pop()
@@ -1329,36 +1335,68 @@ def _objects(model: str, n: int, stats: bool) -> Iterator[tuple]:
     join, blocks = _walk(model, n, stats)
     # each object is built as _trusted builds it, with no call
     if stats:
-        for text, acc, j, below, above in blocks:
+        for text, acc, j, _, below, above in blocks:
             head = tuple(acc[:j])
             for suffix, comps, summary in below:
                 yield (text + suffix, _new_tuple(cls, (tag, n, head + comps)),
                        *join(above, summary))
     else:
-        for text, acc, j, below, _ in blocks:
+        for text, acc, j, _, below, _ in blocks:
             head = tuple(acc[:j])
             for suffix, comps in below:
                 yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
 
 
-def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[list[str]]:
+def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[tuple[str, int]]:
     """The lines of `enumerate --model model --n n [--stats]` in the text
-    format, each ending in a newline, as one list for each block of the
-    walk.  A line is written from the block's texts and, with stats, the
-    fold's join, so no object is built.  Checked at the call as listing."""
+    format, each ending in a newline, as one pair (the lines as one string,
+    their number) for each block of the walk: each line is the block's
+    prefix text followed by one of its rendered suffixes, so no object is
+    built.  Checked at the call as listing."""
     _check_call(model, n, limit)
     return _block_lines(model, n, stats)
 
 
-def _block_lines(model: str, n: int, stats: bool) -> Iterator[list[str]]:
+# The most renderings _block_lines keeps for one walk, the first made
+# dropped first.  hetyei's order-7 walk meets 3,564 distinct (block, prefix
+# summary) pairs in its 21,775 blocks, and their renderings take about
+# 1 MiB; with 2,048 it renders 4,717, and hetyei's and dellac's order-7
+# text listings took 1.07x the time (in one process, 15 alternating rounds).
+_RENDER_MEMO_SIZE = 4096
+
+
+def _block_lines(model: str, n: int, stats: bool) -> Iterator[tuple[str, int]]:
+    """_lines' pairs.  The walk yields the blocks of its memo again after
+    many prefixes, so the suffix lines of a block, each its completion's
+    text and with stats a tab and "k=K l=L" by the fold's join, are
+    rendered once for each (block, prefix summary) and then joined at each
+    prefix's text: a yield costs a lookup and a join, and no format or join
+    per line.  A block is known by its memo key, so a block the walk builds
+    again after its memo entry was dropped finds its rendering, and the
+    summary by its items (hetyei's is a list).  The map is made at each
+    call and keeps at most _RENDER_MEMO_SIZE renderings."""
     join, blocks = _walk(model, n, stats)
     if stats:
-        for text, _, _, below, above in blocks:
-            yield [f"{text}{suffix}\tk={k} l={l}\n"
-                   for suffix, _, summary in below for k, l in (join(above, summary),)]
+        def render(below, above):
+            return tuple([f"{suffix}\tk={k} l={l}\n"
+                          for suffix, _, summary in below for k, l in (join(above, summary),)])
     else:
-        for text, _, _, below, _ in blocks:
-            yield [f"{text}{suffix}\n" for suffix, _ in below]
+        def render(below, above):
+            return tuple([suffix + "\n" for suffix, _ in below])
+    # the keys in the order they were set, the first dropped first: a dict's
+    # first key is found by a scan over the slots its deletions have left,
+    # which made hetyei's order-8 text, where 0.13 M renderings are dropped,
+    # take 1.5x the time
+    rendered: dict = {}
+    made = deque()
+    for text, _, _, memo_key, below, above in blocks:
+        key = memo_key, *above
+        if (lines := rendered.get(key)) is None:
+            lines = rendered[key] = render(below, above)
+            made.append(key)
+            if len(made) > _RENDER_MEMO_SIZE:
+                del rendered[made.popleft()]
+        yield text + text.join(lines), len(lines)
 
 
 def enumerate_model(model: str, n: int,

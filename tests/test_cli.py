@@ -201,6 +201,18 @@ def test_enumerate_json_streams_in_bounded_memory(monkeypatch, fmt):
     assert peak < 1024 * 1024
 
 
+@pytest.mark.parametrize("model", ["pd2n", "dellac", "chain", "settuple"])
+def test_the_stats_text_streams_in_bounded_memory(monkeypatch, model):
+    # the bound of the hetyei listing above, for the other families' text:
+    # a walk's blocks, its map of rendered lines and one batch.  As the first
+    # call in a fresh process, they peak at 545, 144, 126 and 82 KiB
+    with open(os.devnull, "w") as sink:
+        code, peak = traced_peak(monkeypatch, sink, "enumerate", "--model", model,
+                                 "--n", "6", "--stats")
+    assert code == 0
+    assert peak < 1024 * 1024
+
+
 @pytest.mark.parametrize("argv, bound", [
     # with every row kept, these peak at 21-30 and 4 MiB
     (("sequence", "normalized", "--count", "300"), 4 * 1024 * 1024),
@@ -554,8 +566,9 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 
 # one process's calls, in an order where each could see what the last left:
 # a json verify before a plain count, the last of --json and --format
-# winning either way, a usage error, a refused guard, an invalid map input
-# and csv
+# winning either way, a usage error, a refused guard, an invalid map input,
+# csv, and two text listings with statistics, whose lines are rendered
+# once for each block of a walk and must not outlive it
 STATELESS_CALLS = [
     ("verify", "--max-n", "3", "--json"),
     ("count", "--model", "dellac", "--n", "5"),
@@ -565,6 +578,8 @@ STATELESS_CALLS = [
     ("count", "--model", "dellac", "--n", "9"),
     ("map", "--op", "phi", "--input", ";3;3,1"),
     ("count", "--model", "hetyei", "--n", "5", "--format", "csv"),
+    ("enumerate", "--model", "dellac", "--n", "5", "--stats"),
+    ("enumerate", "--model", "hetyei", "--n", "5", "--stats"),
 ]
 
 
@@ -578,7 +593,7 @@ def test_calls_in_one_process_carry_no_state(capsys, monkeypatch):
                               stdin=subprocess.DEVNULL, capture_output=True, text=True,
                               timeout=120)
         fresh.append((done.returncode, done.stdout, done.stderr))
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 3, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 3, 0, 0, 0]
     assert fresh[1] == (0, "295\n", "")
     assert fresh[2][1].endswith("overall: PASS\n")
     assert fresh[3][1] == fresh[0][1]

@@ -425,6 +425,31 @@ def test_the_walk_remembers_dead_states(monkeypatch):
     assert len(calls) <= 2733
 
 
+@pytest.mark.parametrize("model, bound", [("dellac", 4000), ("hetyei", 7500)])
+def test_the_stats_text_renders_each_block_once(monkeypatch, capsys, model, bound):
+    # the walk yields the same blocks after many prefixes, so the text
+    # format renders each (block, prefix summary) once: the fold's join runs
+    # 3,350 times for dellac's order-7 lines and 6,108 for hetyei's, where a
+    # join for each line would run it 42,271 times
+    rule = models._RULES[model]
+    calls = []
+
+    def recorded(n):
+        size, step, (root, grow, push, join, carry) = rule(n)
+
+        def join_recorded(above, below):
+            calls.append(None)
+            return join(above, below)
+
+        return size, step, (root, grow, push, join_recorded, carry)
+
+    monkeypatch.setitem(models._RULES, model, recorded)
+    assert cli.main(["enumerate", "--model", model, "--n", "7", "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STATS_LISTING_SHA256[7, "text"][model]
+    assert len(calls) <= bound
+
+
 def test_a_high_order_lists_within_the_recursion_limit():
     # the walk does not recurse: pd2n's first path at order 400 is 802 steps
     # down, yet it lists under a limit 40 frames above the caller's depth
