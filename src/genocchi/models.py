@@ -172,11 +172,9 @@ __all__ = [
     "redundant_positions",
     "hetyei_pair_count",
     "DEFAULT_ENUMERATION_LIMIT",
-    "DEFAULT_PAIR_COUNT_LIMIT",
 ]
 
 DEFAULT_ENUMERATION_LIMIT = 8
-DEFAULT_PAIR_COUNT_LIMIT = 5
 
 
 class ModelError(ValueError):
@@ -1458,40 +1456,40 @@ def check_enumeration_guard(n: int, limit: int | None) -> None:
     )
 
 
-def hetyei_pair_count(n: int, limit: int | None = DEFAULT_PAIR_COUNT_LIMIT) -> int:
+def hetyei_pair_count(n: int) -> int:
     """Count coordinate tuples ((a_i), (b_i)), a_i in [0, i], b_i in [i],
     whose entries cover [n].
 
-    Counts by backtracking from position n down to 1 with an
-    uncovered-values bound: position i contributes values <= i only, so a
-    branch dies once a value >= i is uncovered below position i, or once
-    the uncovered values outnumber the remaining slots.  The total equals
-    median_genocchi(n).  Guarded (default n <= 5) because the tree grows
-    factorially in n.
+    Counts level by level, from position n down to 1, keeping the number of
+    partial tuples per set of covered values.  Position i contributes
+    values <= i only, so a partial tuple dies once a value >= i is
+    uncovered below position i, or once the uncovered values outnumber the
+    2(i - 1) entries still to come.  The sets kept number F(n + 3) - 1
+    over all levels, the empty start included (1,596 at order 14), and the
+    cost grows about 1.8x per order.  The total equals median_genocchi(n); the count
+    uses none of the families' rules, so it checks that number apart from
+    them.
+
+    >>> [hetyei_pair_count(n) for n in range(1, 6)]
+    [2, 8, 56, 608, 9440]
     """
     _check_order(n)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if limit is not None and n > limit:
-        raise ResourceGuardError(
-            f"order {n} exceeds the pair-count guard {limit}; raise the limit to proceed"
-        )
     full = (1 << n) - 1
-
-    def count(i: int, covered: int) -> int:
-        if i == 0:
-            return 1 if covered == full else 0
+    level = {0: 1}
+    for i in range(n, 0, -1):
         cap = 2 * (i - 1)  # entries still to come below this position
-        total = 0
-        for a in range(i + 1):
-            ca = covered | (1 << (a - 1) if a else 0)
-            for b in range(1, i + 1):
-                cb = ca | 1 << (b - 1)
-                left = full & ~cb
-                # positions below i only provide values < i
-                if left >> (i - 1) or left.bit_count() > cap:
-                    continue
-                total += count(i - 1, cb)
-        return total
-
-    return count(n, 0)
+        below: dict[int, int] = {}
+        for covered, ways in level.items():
+            for a in range(i + 1):
+                ca = covered | (1 << (a - 1) if a else 0)
+                for b in range(1, i + 1):
+                    cb = ca | 1 << (b - 1)
+                    left = full & ~cb
+                    # positions below i only provide values < i
+                    if left >> (i - 1) or left.bit_count() > cap:
+                        continue
+                    below[cb] = below.get(cb, 0) + ways
+        level = below
+    return level.get(full, 0)

@@ -503,9 +503,8 @@ def _order3_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
 
 
 def _pair_count_check(report: ConsistencyReport) -> None:
-    # run_suite's pairs_n is this count's bound, so no guard applies here
     n = report.n
-    got = models.hetyei_pair_count(n, limit=None)
+    got = models.hetyei_pair_count(n)
     expected = triangles.median_genocchi(n)
     _check(report.checks, "pair-count", "hetyei", n, got == expected,
            f"expected {expected}, got {got}")
@@ -577,8 +576,8 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
               limit: int | None = models.DEFAULT_ENUMERATION_LIMIT) -> SuiteReport:
     """Run every consistency check up to order max_n.
 
-    pairs_n bounds the independent coordinate-pair count (None skips it)
-    and is its own guard: `limit` does not apply to it.  The triangle
+    The independent coordinate-pair count runs at the orders
+    n <= min(pairs_n, max_n) (pairs_n None skips it).  The triangle
     identities always run over their full ranges (IDENTITY_N and
     DIVISIBILITY_N), which are cheap.  The run is serial and the report
     deterministic.  Invariant violations are reported, not raised.  An

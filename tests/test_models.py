@@ -1176,8 +1176,22 @@ def test_pair_count_small_values():
 
 
 def test_pair_count_equals_median(objects):
-    for n in range(1, 5):
+    for n in range(1, 15):
         assert models.hetyei_pair_count(n) == triangles.median_genocchi(n)
+
+
+def brute_pair_count(n):
+    # every tuple ((a_i), (b_i)) with a_i in [0, i] and b_i in [i], unpruned;
+    # 0 covers nothing
+    values = set(range(1, n + 1))
+    positions = [product(range(i + 1), range(1, i + 1)) for i in range(1, n + 1)]
+    return sum(values <= {v for pair in pairs for v in pair}
+               for pairs in product(*positions))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pair_count_matches_brute_force_oracle(n):
+    assert models.hetyei_pair_count(n) == brute_pair_count(n)
 
 
 def test_pair_count_order_five():
@@ -1185,8 +1199,7 @@ def test_pair_count_order_five():
 
 
 def test_pair_count_guard():
-    with pytest.raises(ResourceGuardError):
-        models.hetyei_pair_count(6)
+    assert models.hetyei_pair_count(6) == triangles.median_genocchi(6)
     with pytest.raises(ValueError):
         models.hetyei_pair_count(0)
 

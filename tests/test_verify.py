@@ -400,9 +400,10 @@ def test_count_matrix_refuses_before_any_tally(monkeypatch):
 
 
 def test_pair_count_bound_is_honored():
-    report = run_suite(2, 2)
-    names = [c.name for c in report.checks]
-    assert names.count("pair-count") == 2
+    for pairs_n in (2, 4):
+        # the count runs at the orders n <= min(pairs_n, max_n)
+        names = [c.name for c in run_suite(2, pairs_n).checks]
+        assert names.count("pair-count") == 2
     skipped = run_suite(2, 0)
     assert "pair-count" not in [c.name for c in skipped.checks]
 
