@@ -139,7 +139,7 @@ fragments come from the same writers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter, lt
@@ -1356,23 +1356,40 @@ def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[tuple
 
 
 # The most renderings _block_lines keeps for one walk, the first made
-# dropped first.  hetyei's order-7 walk meets 3,564 distinct (block, prefix
-# summary) pairs in its 21,775 blocks, and their renderings take about
-# 1 MiB; with 2,048 it renders 4,717, and hetyei's and dellac's order-7
-# text listings took 1.07x the time (in one process, 15 alternating rounds).
+# dropped first, and the most blocks whose readers it keeps.  No family's
+# text needs more renderings than dellac's 1,123 at order 7 and 3,509 at
+# order 8, so none is dropped there.
 _RENDER_MEMO_SIZE = 4096
+
+
+def _reader(join, below, stats: bool):
+    """A getter of the items of a prefix summary that join reads to make the
+    statistics of the prefix and each completion of the block below: none
+    without stats.  A fold's join reads the same items whatever their
+    values."""
+    summary = defaultdict(int)  # each item read becomes a key
+    if stats:
+        for _, _, suffix in below:
+            join(summary, suffix)
+    return itemgetter(*summary) if summary else _no_items
+
+
+def _no_items(summary) -> tuple:
+    return ()
 
 
 def _block_lines(model: str, n: int, stats: bool) -> Iterator[tuple[str, int]]:
     """_lines' pairs.  The walk yields the blocks of its memo again after
     many prefixes, so the suffix lines of a block, each its completion's
     text and with stats a tab and "k=K l=L" by the fold's join, are
-    rendered once for each (block, prefix summary) and then joined at each
+    rendered once for each block and each value of the prefix summary's
+    items that its completions' statistics read, and then joined at each
     prefix's text: a yield costs a lookup and a join, and no format or join
     per line.  A block is known by its memo key, so a block the walk builds
-    again after its memo entry was dropped finds its rendering, and the
-    summary by its items (hetyei's is a list).  The map is made at each
-    call and keeps at most _RENDER_MEMO_SIZE renderings."""
+    again after its memo entry was dropped finds its rendering.  hetyei's
+    prefix summary is a list of up to n + 1 items, of which a block's
+    completions read few.  The maps are made at each call and keep at most
+    _RENDER_MEMO_SIZE renderings and readers."""
     join, blocks = _walk(model, n, stats)
     if stats:
         def render(below, above):
@@ -1387,8 +1404,21 @@ def _block_lines(model: str, n: int, stats: bool) -> Iterator[tuple[str, int]]:
     # take 1.5x the time
     rendered: dict = {}
     made = deque()
+    # a mark fold's summary is a pair that join reads whole, and keys the
+    # rendering so; hetyei's is a list, and its rendering is keyed by the
+    # items its block reads, whose getter is kept by the block's memo key:
+    # keyed by the whole list, hetyei's order-8 text took 132,965
+    # renderings, against 1,904
+    reads: dict = {}
     for text, _, _, memo_key, below, above in blocks:
-        key = memo_key, *above
+        if type(above) is tuple:
+            key = memo_key, *above
+        else:
+            if (read := reads.get(memo_key)) is None:
+                if len(reads) == _RENDER_MEMO_SIZE:
+                    reads.clear()
+                read = reads[memo_key] = _reader(join, below, stats)
+            key = memo_key, read(above)
         if (lines := rendered.get(key)) is None:
             lines = rendered[key] = render(below, above)
             made.append(key)

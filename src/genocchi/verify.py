@@ -17,14 +17,23 @@ enumeration plus the structural maps on the other.  A full run covers
     phi_inverse, and the doubled pair count against median_genocchi,
   * the reference order-3 classification of all five families by (k, l).
 
-Each order is one pass: each of the five cells is built in one pass over
-its listing, and each object's statistics and map images are computed once
-and read by every check that needs them; order n - 1 is kept for the
-reduce/lift checks.  phi and phi_inverse resume where their last call left
-off (see maps): phi maps the chains in text order, and phi_inverse maps the
-Hetyei cell in the order phi first reached its tuples, then any tuple phi
-missed, so that neighbours share their last pairs.  Each result is stored
-at its tuple's position, so no table and no witness depends on that order.
+Each order is a table of stages (see _stages), each a check that reads one
+or two cells of the order, or none.  A cell is built in one pass over its
+listing for the first stage that reads it and dropped after the last, so
+an order holds at most two of its cells at once: the order-3 reference
+check, which reads all five, is the one exception, and the pd2n, dellac
+and settuple cells of an order below max_n live on for the next order's
+reduce/lift checks.  Each object's statistics and map images are computed
+once and read by every check that needs them, and a report lists each
+stage's checks in a fixed order, whatever the order the stages ran in.
+Besides the checks, a cell leaves only its (k, l) table behind, for the
+totals and histograms of its order.
+
+phi and phi_inverse resume where their last call left off (see maps): phi
+maps the chains in text order, and phi_inverse maps the Hetyei cell in the
+order phi first reached its tuples, then any tuple phi missed, so that
+neighbours share their last pairs.  Each result is stored at its tuple's
+position, so no table and no witness depends on that order.
 
 Enumerators and maps build their objects without validating them (see
 models).  The serialization round-trip parses each object's text, as the
@@ -51,6 +60,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations
 from math import factorial
 
@@ -225,9 +235,14 @@ class SuiteReport:
 # check construction helpers
 
 
-def _check(out: list[Check], name: str, model: str, n: int | None, ok: bool,
-           witness: str | None = None) -> None:
-    out.append(Check(name, model, n, "pass" if ok else "fail", witness if not ok else None))
+def _check(name: str, model: str, n: int | None, ok: bool,
+           witness: str | None = None) -> Check:
+    return Check(name, model, n, "pass" if ok else "fail", witness if not ok else None)
+
+
+def _witnessed(name: str, model: str, n: int | None, witness: str | None) -> Check:
+    """A check that fails exactly when it has a witness."""
+    return _check(name, model, n, witness is None, witness)
 
 
 def _first_bad(objs, oks) -> str | None:
@@ -254,8 +269,9 @@ class _Cell:
     object's statistics and position in the cell, the first text that does
     not round-trip, and whether the texts came in canonical order.
 
-    Built in one pass over the cell's listing.  Each object's text is
-    parsed back, and parse validates, so this is the one validation of
+    Built in one pass over the cell's listing, by the first stage that
+    reads it (see _stages), and dropped after the last.  Each object's text
+    is parsed back, and parse validates, so this is the one validation of
     each enumerated object: only an object that its text parses back to
     joins the cell, before any statistic or map is computed on it, so an
     invalid one fails the round-trip (and the total) instead of raising.
@@ -308,12 +324,14 @@ def _matrix_report(n: int, tables: dict[str, dict[tuple[int, int], int]]) -> Con
         triangle_row=row,
     )
     for model in MODEL_NAMES:
-        _check(report.checks, "total", model, n, report.totals[model] == expected,
-               f"expected {expected}, got {report.totals[model]}")
-        _check(report.checks, "k-histogram", model, n, report.k_hists[model] == row,
-               f"expected {row}, got {report.k_hists[model]}")
-        _check(report.checks, "l-histogram", model, n, report.l_hists[model] == row,
-               f"expected {row}, got {report.l_hists[model]}")
+        report.checks += [
+            _check("total", model, n, report.totals[model] == expected,
+                   f"expected {expected}, got {report.totals[model]}"),
+            _check("k-histogram", model, n, report.k_hists[model] == row,
+                   f"expected {row}, got {report.k_hists[model]}"),
+            _check("l-histogram", model, n, report.l_hists[model] == row,
+                   f"expected {row}, got {report.l_hists[model]}"),
+        ]
     return report
 
 
@@ -326,46 +344,44 @@ def count_matrix(n: int, *,
 
 
 # ---------------------------------------------------------------------------
-# per-order deep checks
+# per-order deep checks: each takes the order and the cells it reads, and
+# returns its checks
 
 
-def _serialization_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
-    n = report.n
-    for model, cell in cells.items():
-        _check(report.checks, "serialization-roundtrip", model, n, cell.bad is None, cell.bad)
-        _check(report.checks, "canonical-order", model, n, cell.ordered,
-               "enumeration is not sorted by serialization")
+def _serialization_checks(model: str, n: int, cell: _Cell) -> list[Check]:
+    return [
+        _witnessed("serialization-roundtrip", model, n, cell.bad),
+        _check("canonical-order", model, n, cell.ordered,
+               "enumeration is not sorted by serialization"),
+    ]
 
 
-def _settuple_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
+def _settuple_checks(n: int, settuples: _Cell) -> list[Check]:
     def structure(s) -> bool:
         first, last = s.sets[0], s.sets[-1]
         ones = sum(1 in part for part in s.sets)
         tops = sum(s.n in part for part in s.sets)
         return len(first) == 1 and len(last) == 1 and ones == 1 and tops == 1
 
-    settuples = cells["settuple"].objs
-    bad = _first_bad(settuples, map(structure, settuples))
-    _check(report.checks, "endpoint-structure", "settuple", report.n, bad is None, bad)
+    bad = _first_bad(settuples.objs, map(structure, settuples.objs))
+    return [_witnessed("endpoint-structure", "settuple", n, bad)]
 
 
-def _hetyei_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
-    n = report.n
-    hetyeis = cells["hetyei"]
-
+def _hetyei_checks(n: int, hetyeis: _Cell) -> list[Check]:
     def redundancy_shape(m, stats: tuple[int, int]) -> bool:
         chain = models.redundancy_chain(m)
         red = models.redundant_positions(m)
         return bool(red) and chain[-1] in red and stats[0] == n + 1 - max(red)
 
     bad = _first_bad(hetyeis.objs, map(redundancy_shape, hetyeis.objs, hetyeis.stats))
-    _check(report.checks, "redundancy-structure", "hetyei", n, bad is None, bad)
-
     total = len(hetyeis.objs)
     doubled = (1 << n) * total
     expected = triangles.median_genocchi(n)
-    _check(report.checks, "orbit-doubling", "hetyei", n, doubled == expected,
-           f"2^{n} * {total} = {doubled}, expected {expected}")
+    return [
+        _witnessed("redundancy-structure", "hetyei", n, bad),
+        _check("orbit-doubling", "hetyei", n, doubled == expected,
+               f"2^{n} * {total} = {doubled}, expected {expected}"),
+    ]
 
 
 def _returns(pairs, back: list):
@@ -380,134 +396,133 @@ def _keeps(there: list, target: _Cell, stats: list):
     return (j is not None and target.stats[j] == kl for j, kl in zip(there, stats))
 
 
-def _bijection_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
-    n = report.n
-    chains, settuples, hetyeis = cells["chain"], cells["settuple"], cells["hetyei"]
-
+def _chain_settuple_checks(n: int, chains: _Cell, settuples: _Cell) -> list[Check]:
     to_settuple = chains.positions(maps.chain_to_settuple, settuples)
     to_chain = settuples.positions(maps.settuple_to_chain, chains)
-    bad = _first_bad(chains.objs, _returns(enumerate(to_settuple), to_chain))
-    _check(report.checks, "chain-settuple-roundtrip", "settuple", n, bad is None, bad)
-    bad = _first_bad(settuples.objs, _returns(enumerate(to_chain), to_settuple))
-    _check(report.checks, "settuple-chain-roundtrip", "settuple", n, bad is None, bad)
-    bad = _first_bad(settuples.objs, (
-        j is not None and maps.closed_form_chain(s) == chains.objs[j]
-        for s, j in zip(settuples.objs, to_chain)
-    ))
-    _check(report.checks, "chain-closed-form", "settuple", n, bad is None, bad)
-    bad = _first_bad(chains.objs, _keeps(to_settuple, settuples, chains.stats))
-    _check(report.checks, "chain-settuple-statistics", "settuple", n, bad is None, bad)
+    closed_form = (j is not None and maps.closed_form_chain(s) == chains.objs[j]
+                   for s, j in zip(settuples.objs, to_chain))
+    return [
+        _witnessed("chain-settuple-roundtrip", "settuple", n,
+                   _first_bad(chains.objs, _returns(enumerate(to_settuple), to_chain))),
+        _witnessed("settuple-chain-roundtrip", "settuple", n,
+                   _first_bad(settuples.objs, _returns(enumerate(to_chain), to_settuple))),
+        _witnessed("chain-closed-form", "settuple", n, _first_bad(settuples.objs, closed_form)),
+        _witnessed("chain-settuple-statistics", "settuple", n,
+                   _first_bad(chains.objs, _keeps(to_settuple, settuples, chains.stats))),
+    ]
 
+
+def _phi_checks(n: int, chains: _Cell, hetyeis: _Cell) -> list[Check]:
     to_pairs = chains.positions(maps.phi, hetyeis)
-    # the first chain sent to each position; a later one is a collision
-    first: dict[int | None, int] = {}
+    # the positions in the order phi first reached them, and the first chain
+    # sent to a position an earlier chain reached: a collision
+    reached = bytearray(len(hetyeis.objs))
+    order: list[int] = []
+    collision = None
     for i, j in enumerate(to_pairs):
-        first.setdefault(j, i)
-    bad = _first_bad(chains.objs, (
-        j is None or first[j] == i for i, j in enumerate(to_pairs)
-    ))
-    _check(report.checks, "phi-injective", "hetyei", n, bad is None, bad)
-    # positions lie below len(hetyeis.objs), so that many distinct ones cover the cell
-    _check(report.checks, "phi-image", "hetyei", n,
-           None not in first and len(first) == len(hetyeis.objs),
-           "phi image differs from the enumerated pair tuples")
+        if j is None:
+            continue
+        if not reached[j]:
+            reached[j] = 1
+            order.append(j)
+        elif collision is None:
+            collision = i
+    out = [
+        _witnessed("phi-injective", "hetyei", n,
+                   None if collision is None else models.serialize(chains.objs[collision])),
+        # positions lie below len(reached), so that many distinct ones cover the cell
+        _check("phi-image", "hetyei", n, None not in to_pairs and len(order) == len(reached),
+               "phi image differs from the enumerated pair tuples"),
+    ]
     # phi_inverse resumes after the pairs its last tuple ends in, and the
     # images of neighbouring chains share their last pairs: map the tuples
     # in the order phi first reached them, then those it missed, and keep
     # each result at its tuple's position
-    order = [j for j in first if j is not None]
-    order += [j for j in range(len(hetyeis.objs)) if j not in first]
+    order += [j for j, seen in enumerate(reached) if not seen]
     from_pairs: list[int | None] = [None] * len(order)
     find = chains.pos.get
     for j in order:
         from_pairs[j] = find(maps.phi_inverse(hetyeis.objs[j]))
-    bad = _first_bad(chains.objs, _returns(enumerate(to_pairs), from_pairs))
-    _check(report.checks, "phi-roundtrip", "hetyei", n, bad is None, bad)
-    bad = _first_bad(hetyeis.objs, _returns(enumerate(from_pairs), to_pairs))
-    _check(report.checks, "phi-inverse-roundtrip", "hetyei", n, bad is None, bad)
-    bad = _first_bad(chains.objs, _keeps(to_pairs, hetyeis, chains.stats))
-    _check(report.checks, "phi-statistics", "hetyei", n, bad is None, bad)
-    bad = _all_bad(hetyeis.objs, _keeps(from_pairs, chains, hetyeis.stats))
-    _check(report.checks, "redundancy-transport", "hetyei", n, bad is None, bad)
+    return out + [
+        _witnessed("phi-roundtrip", "hetyei", n,
+                   _first_bad(chains.objs, _returns(enumerate(to_pairs), from_pairs))),
+        _witnessed("phi-inverse-roundtrip", "hetyei", n,
+                   _first_bad(hetyeis.objs, _returns(enumerate(from_pairs), to_pairs))),
+        _witnessed("phi-statistics", "hetyei", n,
+                   _first_bad(chains.objs, _keeps(to_pairs, hetyeis, chains.stats))),
+        _witnessed("redundancy-transport", "hetyei", n,
+                   _all_bad(hetyeis.objs, _keeps(from_pairs, chains, hetyeis.stats))),
+    ]
 
 
-def _involution_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
-    n = report.n
-    for model in _INVOLUTIVE:
-        cell = cells[model]
-        t = cell.positions(maps.involution_t, cell)
-        r = cell.positions(maps.involution_r, cell)
+def _involution_checks(model: str, n: int, cell: _Cell) -> list[Check]:
+    t = cell.positions(maps.involution_t, cell)
+    r = cell.positions(maps.involution_r, cell)
 
-        def t_ok(i: int) -> bool:
-            j, (k, l) = t[i], cell.stats[i]
-            if j is None or t[j] != i or cell.stats[j] != (l, k):
-                return False
-            return k != l or j == i
+    def t_ok(i: int) -> bool:
+        j, (k, l) = t[i], cell.stats[i]
+        if j is None or t[j] != i or cell.stats[j] != (l, k):
+            return False
+        return k != l or j == i
 
-        def r_ok(i: int) -> bool:
-            j, (k, l) = r[i], cell.stats[i]
-            return j is not None and r[j] == i and cell.stats[j] == (n + 1 - l, n + 1 - k)
+    def r_ok(i: int) -> bool:
+        j, (k, l) = r[i], cell.stats[i]
+        return j is not None and r[j] == i and cell.stats[j] == (n + 1 - l, n + 1 - k)
 
-        bad = _first_bad(cell.objs, map(t_ok, range(len(t))))
-        _check(report.checks, "involution-t", model, n, bad is None, bad)
-        bad = _first_bad(cell.objs, map(r_ok, range(len(r))))
-        _check(report.checks, "involution-r", model, n, bad is None, bad)
+    return [
+        _witnessed("involution-t", model, n, _first_bad(cell.objs, map(t_ok, range(len(t))))),
+        _witnessed("involution-r", model, n, _first_bad(cell.objs, map(r_ok, range(len(r))))),
+    ]
 
 
-def _reduction_checks(report: ConsistencyReport, cells: dict[str, _Cell],
-                      below: dict[str, _Cell]) -> None:
-    """reduce/lift between the l = n objects of each cell and `below`, the
-    cells of order n - 1 from the previous order's round."""
-    n = report.n
-    if n < 2:
-        return
-    smaller = triangles.normalized_genocchi(n - 1)
-    for model in _INVOLUTIVE:
-        cell, lower = cells[model], below[model]
-        primed = [i for i, (_, l) in enumerate(cell.stats) if l == n]
-        objs = [cell.objs[i] for i in primed]
-        if len(primed) != smaller:
-            witness = models.serialize(objs[0]) if primed else "no primed objects"
-        else:
-            # lift(reduce(o)) == o for every primed o makes reduce injective,
-            # so with the counts equal a bijection onto the cell below, which
-            # gives reduce(lift(b)) == b for every b below too
-            reduced = (lower.pos.get(maps.reduce(o)) for o in objs)
-            lifted = lower.positions(maps.lift, cell)
-            witness = _first_bad(objs, _returns(zip(primed, reduced), lifted))
-        _check(report.checks, "reduce-lift", model, n, witness is None, witness)
+def _reduction_checks(model: str, n: int, cell: _Cell, lower: _Cell) -> list[Check]:
+    """reduce/lift between the l = n objects of the family's order-n cell
+    and `lower`, its order n - 1 cell, which outlives its own order for
+    this check when that order is below max_n."""
+    primed = [i for i, (_, l) in enumerate(cell.stats) if l == n]
+    objs = [cell.objs[i] for i in primed]
+    if len(primed) != triangles.normalized_genocchi(n - 1):
+        witness = models.serialize(objs[0]) if primed else "no primed objects"
+    else:
+        # lift(reduce(o)) == o for every primed o makes reduce injective,
+        # so with the counts equal a bijection onto the cell below, which
+        # gives reduce(lift(b)) == b for every b below too
+        reduced = (lower.pos.get(maps.reduce(o)) for o in objs)
+        lifted = lower.positions(maps.lift, cell)
+        witness = _first_bad(objs, _returns(zip(primed, reduced), lifted))
+    return [_witnessed("reduce-lift", model, n, witness)]
 
 
-def _embedding_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
-    n = report.n
+def _embedding_checks(n: int, settuples: _Cell) -> list[Check]:
     images = {maps.embed_permutation(word) for word in permutations(range(1, n + 1))}
-    singletons = [s for s in cells["settuple"].objs if all(len(part) == 1 for part in s.sets)]
+    singletons = [s for s in settuples.objs if all(len(part) == 1 for part in s.sets)]
     if len(singletons) != factorial(n):
         witness = f"expected {factorial(n)} singleton tuples, got {len(singletons)}"
     else:
         # n! images cover n! singletons exactly when none is missed
         witness = next((models.serialize(s) for s in singletons if s not in images), None)
-    _check(report.checks, "permutation-embedding", "settuple", n, witness is None, witness)
+    return [_witnessed("permutation-embedding", "settuple", n, witness)]
 
 
-def _order3_checks(report: ConsistencyReport, cells: dict[str, _Cell]) -> None:
-    for model, reference in ORDER3_CELLS.items():
-        cell = cells[model]
+def _order3_checks(*cells: _Cell) -> list[Check]:
+    """The order-3 cells, one for each family of ORDER3_CELLS in its order,
+    against their reference classification."""
+    out = []
+    for (model, reference), cell in zip(ORDER3_CELLS.items(), cells):
         placed = {stats: models.serialize(o) for o, stats in zip(cell.objs, cell.stats)}
         ok = placed == reference and len(cell.objs) == len(reference)
         witness = None
         if not ok:
             diffs = set(placed.items()) ^ set(reference.items())
             witness = "; ".join(f"{kl}: {text}" for kl, text in sorted(diffs))
-        _check(report.checks, "order3-reference-cells", model, 3, ok, witness)
+        out.append(_check("order3-reference-cells", model, 3, ok, witness))
+    return out
 
 
-def _pair_count_check(report: ConsistencyReport) -> None:
-    n = report.n
+def _pair_count_check(n: int) -> list[Check]:
     got = models.hetyei_pair_count(n)
     expected = triangles.median_genocchi(n)
-    _check(report.checks, "pair-count", "hetyei", n, got == expected,
-           f"expected {expected}, got {got}")
+    return [_check("pair-count", "hetyei", n, got == expected, f"expected {expected}, got {got}")]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +541,7 @@ def _triangle_checks() -> list[Check]:
         witness = next(
             (f"n={n}" for n in range(start, stop + 1) if not predicate(n)), None
         )
-        _check(out, name, "triangles", None, witness is None, witness)
+        out.append(_witnessed(name, "triangles", None, witness))
 
     def symmetric(n: int) -> bool:
         row = triangles.kreweras_row(n)
@@ -563,8 +578,8 @@ def _triangle_checks() -> list[Check]:
     stable = all(
         fresh_s.row(i) == triangles.seidel_row(i) for i in range(1, 25)
     ) and all(fresh_k.row(nn) == triangles.kreweras_row(nn) for nn in range(1, 25))
-    _check(out, "determinism", "triangles", None, stable,
-           "fresh tables disagree with memoized tables")
+    out.append(_check("determinism", "triangles", None, stable,
+                      "fresh tables disagree with memoized tables"))
     return out
 
 
@@ -572,11 +587,63 @@ def _triangle_checks() -> list[Check]:
 # the suite
 
 
+def _stages(n: int, pairs_n: int | None) -> list[tuple]:
+    """The stages of order n in the order they run, each (name, the cells
+    it reads, fn): a cell is named (model, order), and fn takes the cells
+    it reads, in that order, and returns its checks.
+
+    run_suite builds a cell for the first stage that reads it, each
+    family's "cell" stage, which checks its serialization, and drops it
+    after the last.  No stage reads more than two cells of order n, and
+    this order of the stages keeps at most two of them alive at once: pd2n
+    and dellac are each done before the next cell is built, settuple lives
+    until chain is checked against it, and chain until phi.  Only the
+    order-3 reference check reads all five cells, and reduce-lift reads
+    its family's order n - 1 cell, which so outlives its own order."""
+    stages: list[tuple] = []
+    for model in _INVOLUTIVE:
+        cell = (model, n)
+        stages += [
+            (f"{model} cell", (cell,), partial(_serialization_checks, model, n)),
+            (f"{model} involutions", (cell,), partial(_involution_checks, model, n)),
+        ]
+        if n > 1:
+            stages.append((f"{model} reduce-lift", (cell, (model, n - 1)),
+                           partial(_reduction_checks, model, n)))
+    settuple, chain, hetyei = ("settuple", n), ("chain", n), ("hetyei", n)
+    stages += [
+        ("settuple structure", (settuple,), partial(_settuple_checks, n)),
+        ("settuple embedding", (settuple,), partial(_embedding_checks, n)),
+        ("chain cell", (chain,), partial(_serialization_checks, "chain", n)),
+        ("chain-settuple", (chain, settuple), partial(_chain_settuple_checks, n)),
+        ("hetyei cell", (hetyei,), partial(_serialization_checks, "hetyei", n)),
+        ("hetyei", (hetyei,), partial(_hetyei_checks, n)),
+        ("phi", (chain, hetyei), partial(_phi_checks, n)),
+    ]
+    if n == 3:
+        stages.append(("order3", tuple((m, 3) for m in ORDER3_CELLS), _order3_checks))
+    if pairs_n is not None and n <= pairs_n:
+        stages.append(("pair-count", (), partial(_pair_count_check, n)))
+    return stages
+
+
+# The order in which a report lists the checks of the stages of its order,
+# after the totals and histograms; every stage is named here.
+_REPORT_ORDER = (
+    *(f"{model} cell" for model in MODEL_NAMES),
+    "settuple structure", "hetyei", "chain-settuple", "phi",
+    *(f"{model} involutions" for model in _INVOLUTIVE),
+    *(f"{model} reduce-lift" for model in _INVOLUTIVE),
+    "settuple embedding", "order3", "pair-count",
+)
+
+
 def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
               limit: int | None = models.DEFAULT_ENUMERATION_LIMIT) -> SuiteReport:
     """Run every consistency check up to order max_n.
 
-    The independent coordinate-pair count runs at the orders
+    The orders run one after another, each as the stages of _stages.  The
+    independent coordinate-pair count runs at the orders
     n <= min(pairs_n, max_n) (pairs_n None skips it).  The triangle
     identities always run over their full ranges (IDENTITY_N and
     DIVISIBILITY_N), which are cheap.  The run is serial and the report
@@ -590,24 +657,29 @@ def run_suite(max_n: int = 6, pairs_n: int | None = 4, *,
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if pairs_n is not None:
         models._check_order(pairs_n, "pairs_n")
+    orders = range(1, max_n + 1)
+    stages = [(n, *stage) for n in orders for stage in _stages(n, pairs_n)]
+    last = {cell: i for i, (_, _, reads, _) in enumerate(stages) for cell in reads}
+    live: dict[tuple[str, int], _Cell] = {}
+    # what outlives a cell: its (k, l) table, for the report of its order
+    tables: dict[int, dict[str, Counter]] = {n: {} for n in orders}
+    found: dict[int, dict[str, list[Check]]] = {n: {} for n in orders}
+    for i, (n, name, reads, fn) in enumerate(stages):
+        for cell in reads:
+            if cell not in live:
+                model, order = cell
+                live[cell] = _Cell(model, models.listing(model, order, limit))
+                tables[order][model] = Counter(live[cell].stats)
+        found[n][name] = fn(*[live[cell] for cell in reads])
+        for cell in reads:
+            if last[cell] == i:
+                del live[cell]
     reports = []
-    below: dict[str, _Cell] = {}
-    for n in range(1, max_n + 1):
-        cells = {m: _Cell(m, models.listing(m, n, limit)) for m in MODEL_NAMES}
-        report = _matrix_report(n, {m: Counter(cell.stats) for m, cell in cells.items()})
-        _serialization_checks(report, cells)
-        _settuple_checks(report, cells)
-        _hetyei_checks(report, cells)
-        _bijection_checks(report, cells)
-        _involution_checks(report, cells)
-        _reduction_checks(report, cells, below)
-        _embedding_checks(report, cells)
-        if n == 3:
-            _order3_checks(report, cells)
-        if pairs_n is not None and n <= pairs_n:
-            _pair_count_check(report)
+    for n in orders:
+        report = _matrix_report(n, {m: tables[n][m] for m in MODEL_NAMES})
+        for name in sorted(found[n], key=_REPORT_ORDER.index):
+            report.checks += found[n][name]
         reports.append(report)
-        below = {m: cells[m] for m in _INVOLUTIVE}
     return SuiteReport(
         max_n=max_n,
         pairs_n=pairs_n,

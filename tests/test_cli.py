@@ -642,6 +642,22 @@ def test_verify_json_is_byte_stable(capsys, max_n):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[max_n]
 
 
+# sha256 of the stdout of `verify --max-n N --format csv`, which lists every
+# check in the report's order: the JSON groups the checks by (n, model), so
+# a stage whose checks move within their order changes only this
+VERIFY_CSV_SHA256 = {
+    6: "5f3fbac577a9f3770168d85a752d27d18ae8c5372505dcd78489bbae1524400b",
+    7: "f2ec6036651930338edf7e528afecf08c987031fca800c1079b3d0d04a8280f6",
+}
+
+
+@pytest.mark.parametrize("max_n", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_verify_csv_keeps_the_check_order(capsys, max_n):
+    code, out, _ = run(capsys, "verify", "--max-n", str(max_n), "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CSV_SHA256[max_n]
+
+
 def test_verify_refuses_the_removed_threads_option(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--threads", "4")
     assert code == 2

@@ -323,11 +323,16 @@ def test_the_walk_folds_the_statistics_of_each_object(model, n):
 def test_the_walk_folds_the_statistics_through_larger_blocks(monkeypatch, model):
     # blocks of 64 completions hold longer suffixes: in hetyei's, the scan
     # for k can stop inside the suffix, which no object yielded from blocks
-    # of 8 shows through order 7
+    # of 8 shows through order 7.  The text format keys each block's
+    # rendering by the prefix summary items its completions read, so it
+    # must write the same (k, l)
     monkeypatch.setattr(models, "_BLOCK_SIZE", 64)
     for n in range(1, 7):
-        for text, obj, k, l in models.listing(model, n, stats=True):
+        rows = list(models.listing(model, n, stats=True))
+        for text, obj, k, l in rows:
             assert (k, l) == models.statistics(obj), text
+        written = "".join(lines for lines, _ in models._lines(model, n, None, True))
+        assert written == "".join(f"{text}\tk={k} l={l}\n" for text, _, k, l in rows)
 
 
 @pytest.mark.parametrize("n", LISTING_ORDERS)

@@ -4,6 +4,7 @@ one, deterministic, and schema-stable."""
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
@@ -127,6 +128,30 @@ def test_each_cell_is_enumerated_once(monkeypatch):
     assert run_suite(4, 0).passed
     assert len(calls) == 5 * 4
     assert sorted(calls) == sorted((m, n) for m in models.MODEL_NAMES for n in range(1, 5))
+
+
+def test_a_cell_lives_from_its_first_reader_to_its_last(monkeypatch):
+    # no stage reads more than two cells of an order, so the last order
+    # never holds more than two at once; the cells of an order below it
+    # live on only for the next order's reduce-lift
+    alive = weakref.WeakSet()
+    most: dict[int, int] = {}
+
+    class Tracked(verify._Cell):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, model, pairs):
+            super().__init__(model, pairs)
+            alive.add(self)
+            n = self.objs[0].n
+            most[n] = max(most.get(n, 0), sum(cell.objs[0].n == n for cell in alive))
+
+    monkeypatch.setattr(verify, "_Cell", Tracked)
+    for max_n in (4, 5, 6):
+        most.clear()
+        assert run_suite(max_n, 0).passed
+        assert most[max_n] == 2
+        assert not alive  # not a cell of any order outlives the run
 
 
 def test_guard_refuses_before_any_enumeration(monkeypatch):
