@@ -77,8 +77,9 @@ def _dump_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-# the most lines or JSON items held and written at once: enough to write
-# in few calls, few enough to bound the memory
+# the most CSV rows, JSON items or text blocks (each at least one line)
+# held and written at once: enough to write in few calls, few enough to
+# bound the memory
 _BATCH = 256
 
 
@@ -87,20 +88,6 @@ def _batches(items):
     items = iter(items)
     while batch := list(islice(items, _BATCH)):
         yield batch
-
-
-def _write_blocks(blocks) -> None:
-    """Write the blocks, each the pair (its lines as one string, each line
-    ending in a newline, their number), at least _BATCH lines at a time but
-    the last time."""
-    batch, lines = [], 0
-    for block, count in blocks:
-        batch.append(block)
-        lines += count
-        if lines >= _BATCH:
-            sys.stdout.write("".join(batch))
-            batch, lines = [], 0
-    sys.stdout.write("".join(batch))
 
 
 def _dump_json_list(items) -> None:
@@ -165,12 +152,14 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     # the walk writes each object's text, and with --stats its k and l,
-    # folded from the same choices.  Every format writes nothing before it
-    # has built its first lines or batch: csv its header with its first
-    # rows, json its "[" with its first items, so an order whose first
-    # block runs out of memory leaves stdout empty
-    if args.format == "text":  # a block's lines at a time, and no object
-        _write_blocks(models._lines(args.model, args.n, args.guard, args.stats))
+    # folded from the same choices.  Every format writes a batch at a time
+    # and nothing before it has built its first batch: text the lines of
+    # its first blocks, csv its header with its first rows, json its "["
+    # with its first items, so an order whose first block runs out of
+    # memory leaves stdout empty
+    if args.format == "text":  # whole blocks of lines, and no object
+        for batch in _batches(models._lines(args.model, args.n, args.guard, args.stats)):
+            sys.stdout.write("".join(batch))
         return 0
     pairs = models.listing(args.model, args.n, args.guard, stats=args.stats)
     if args.stats:

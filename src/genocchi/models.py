@@ -79,11 +79,11 @@ walk folds each family's statistics through its frames and blocks, a frame
 keeping its prefix's summary and a block's completion its suffix's, so an
 object's k and l take one join of the two and no statistic is computed
 from the object.  The lines of
-`enumerate` in the text format are written a block at a time, each block
-as one string (_lines), with no object built: the suffix lines of each
-(block, prefix summary) the walk meets are rendered once, through the
-fold's join, and each time the walk yields them again they are joined at
-the prefix's text.
+`enumerate` in the text format come a block at a time, each block as one
+string (_lines), with no object built: the suffix lines of each (block,
+prefix summary items it reads) the walk meets are rendered once, through
+the fold's join, into one map that is dropped whole when full, and each
+time the walk yields them again they are joined at the prefix's text.
 enumerate_model yields the objects of the same walk.  Both are lazy
 iterators, ordered lexicographically by the serialization, in memory that
 does not grow with the count.  Orders beyond a resource guard (default
@@ -139,7 +139,7 @@ fragments come from the same writers.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter, lt
@@ -1345,20 +1345,19 @@ def _objects(model: str, n: int, stats: bool) -> Iterator[tuple]:
                 yield text + suffix, _new_tuple(cls, (tag, n, head + comps))
 
 
-def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[tuple[str, int]]:
+def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[str]:
     """The lines of `enumerate --model model --n n [--stats]` in the text
-    format, each ending in a newline, as one pair (the lines as one string,
-    their number) for each block of the walk: each line is the block's
-    prefix text followed by one of its rendered suffixes, so no object is
-    built.  Checked at the call as listing."""
+    format, each ending in a newline, as one string for each block of the
+    walk: each line is the block's prefix text followed by one of its
+    rendered suffixes, so no object is built.  Checked at the call as
+    listing."""
     _check_call(model, n, limit)
     return _block_lines(model, n, stats)
 
 
-# The most renderings _block_lines keeps for one walk, the first made
-# dropped first, and the most blocks whose readers it keeps.  No family's
-# text needs more renderings than dellac's 1,123 at order 7 and 3,509 at
-# order 8, so none is dropped there.
+# The most renderings _block_lines holds for one walk before it drops them
+# all.  No family's text needs more than dellac's 1,123 at order 7 and 3,509
+# at order 8, so none is dropped there.
 _RENDER_MEMO_SIZE = 4096
 
 
@@ -1378,18 +1377,20 @@ def _no_items(summary) -> tuple:
     return ()
 
 
-def _block_lines(model: str, n: int, stats: bool) -> Iterator[tuple[str, int]]:
-    """_lines' pairs.  The walk yields the blocks of its memo again after
+def _block_lines(model: str, n: int, stats: bool) -> Iterator[str]:
+    """_lines' strings.  The walk yields the blocks of its memo again after
     many prefixes, so the suffix lines of a block, each its completion's
     text and with stats a tab and "k=K l=L" by the fold's join, are
     rendered once for each block and each value of the prefix summary's
     items that its completions' statistics read, and then joined at each
-    prefix's text: a yield costs a lookup and a join, and no format or join
-    per line.  A block is known by its memo key, so a block the walk builds
-    again after its memo entry was dropped finds its rendering.  hetyei's
-    prefix summary is a list of up to n + 1 items, of which a block's
-    completions read few.  The maps are made at each call and keep at most
-    _RENDER_MEMO_SIZE renderings and readers."""
+    prefix's text: a yield costs two lookups and a join, and no format or
+    join per line.  A block is known by its memo key, so a block the walk
+    builds again after its memo entry was dropped finds its rendering.  A
+    mark fold's join reads both items of its summary, (k, l); hetyei's
+    summary is a list of up to n + 1 items, of which a block's completions
+    read few (keyed by the whole list, hetyei's order-8 text took 132,965
+    renderings, against 1,904).  The map is made at each call and dropped
+    whole once it holds _RENDER_MEMO_SIZE renderings."""
     join, blocks = _walk(model, n, stats)
     if stats:
         def render(below, above):
@@ -1398,33 +1399,20 @@ def _block_lines(model: str, n: int, stats: bool) -> Iterator[tuple[str, int]]:
     else:
         def render(below, above):
             return tuple([suffix + "\n" for suffix, _ in below])
-    # the keys in the order they were set, the first dropped first: a dict's
-    # first key is found by a scan over the slots its deletions have left,
-    # which made hetyei's order-8 text, where 0.13 M renderings are dropped,
-    # take 1.5x the time
+    # by memo key, the block's reader and its lines by the values it reads
     rendered: dict = {}
-    made = deque()
-    # a mark fold's summary is a pair that join reads whole, and keys the
-    # rendering so; hetyei's is a list, and its rendering is keyed by the
-    # items its block reads, whose getter is kept by the block's memo key:
-    # keyed by the whole list, hetyei's order-8 text took 132,965
-    # renderings, against 1,904
-    reads: dict = {}
+    held = 0
     for text, _, _, memo_key, below, above in blocks:
-        if type(above) is tuple:
-            key = memo_key, *above
-        else:
-            if (read := reads.get(memo_key)) is None:
-                if len(reads) == _RENDER_MEMO_SIZE:
-                    reads.clear()
-                read = reads[memo_key] = _reader(join, below, stats)
-            key = memo_key, read(above)
-        if (lines := rendered.get(key)) is None:
-            lines = rendered[key] = render(below, above)
-            made.append(key)
-            if len(made) > _RENDER_MEMO_SIZE:
-                del rendered[made.popleft()]
-        yield text + text.join(lines), len(lines)
+        if (block := rendered.get(memo_key)) is None:
+            block = rendered[memo_key] = _reader(join, below, stats), {}
+        read, lines_by = block
+        if (lines := lines_by.get(values := read(above))) is None:
+            lines = lines_by[values] = render(below, above)
+            held += 1
+            if held == _RENDER_MEMO_SIZE:
+                rendered.clear()
+                held = 0
+        yield text + text.join(lines)
 
 
 def enumerate_model(model: str, n: int,

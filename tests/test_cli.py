@@ -193,7 +193,7 @@ def traced_peak(monkeypatch, sink, *argv):
 def test_enumerate_json_streams_in_bounded_memory(monkeypatch, fmt):
     # built as one list, the order-6 listing with statistics peaks at about
     # 2.4 MiB; the writers are the same for every family, and the text
-    # format's holds the lines of a few blocks past one batch of 256
+    # format's holds one batch of 256 blocks
     with open(os.devnull, "w") as sink:
         code, peak = traced_peak(monkeypatch, sink, "enumerate", "--model", "hetyei",
                                  "--n", "6", "--stats", "--format", fmt)
@@ -204,8 +204,9 @@ def test_enumerate_json_streams_in_bounded_memory(monkeypatch, fmt):
 @pytest.mark.parametrize("model", ["pd2n", "dellac", "chain", "settuple"])
 def test_the_stats_text_streams_in_bounded_memory(monkeypatch, model):
     # the bound of the hetyei listing above, for the other families' text:
-    # a walk's blocks, its map of rendered lines and one batch.  As the first
-    # call in a fresh process, they peak at 545, 144, 126 and 82 KiB
+    # a walk's blocks, its map of rendered lines and one batch of 256
+    # blocks.  As the first call in a fresh process, they peak at 667, 474,
+    # 457 and 352 KiB
     with open(os.devnull, "w") as sink:
         code, peak = traced_peak(monkeypatch, sink, "enumerate", "--model", model,
                                  "--n", "6", "--stats")

@@ -331,7 +331,7 @@ def test_the_walk_folds_the_statistics_through_larger_blocks(monkeypatch, model)
         rows = list(models.listing(model, n, stats=True))
         for text, obj, k, l in rows:
             assert (k, l) == models.statistics(obj), text
-        written = "".join(lines for lines, _ in models._lines(model, n, None, True))
+        written = "".join(models._lines(model, n, None, True))
         assert written == "".join(f"{text}\tk={k} l={l}\n" for text, _, k, l in rows)
 
 
@@ -434,8 +434,9 @@ def test_the_walk_remembers_dead_states(monkeypatch):
 def test_the_stats_text_renders_each_block_once(monkeypatch, capsys, model, bound):
     # the walk yields the same blocks after many prefixes, so the text
     # format renders each (block, prefix summary) once: the fold's join runs
-    # 3,350 times for dellac's order-7 lines and 6,108 for hetyei's, where a
-    # join for each line would run it 42,271 times
+    # 3,778 times for dellac's order-7 lines and 2,352 for hetyei's, with
+    # each block's reader, where a join for each line would run it 42,271
+    # times
     rule = models._RULES[model]
     calls = []
 
@@ -453,6 +454,19 @@ def test_the_stats_text_renders_each_block_once(monkeypatch, capsys, model, boun
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STATS_LISTING_SHA256[7, "text"][model]
     assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_the_text_listing_holds_when_its_renderings_are_dropped(monkeypatch, capsys, model):
+    # no order <= 8 fills the map of rendered lines, so only a smaller map
+    # drops them: cleared after each rendering, or after a few
+    for size in (1, 3, 50):
+        monkeypatch.setattr(models, "_RENDER_MEMO_SIZE", size)
+        for extra, pinned in (((), LISTING_SHA256[6][model]),
+                              (("--stats",), STATS_LISTING_SHA256[6, "text"][model])):
+            assert cli.main(["enumerate", "--model", model, "--n", "6", *extra]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == pinned, (size, extra)
 
 
 def test_a_high_order_lists_within_the_recursion_limit():

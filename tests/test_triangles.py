@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import signal
 import threading
+import time
 from functools import cache
 
 import pytest
@@ -189,10 +190,22 @@ class _Alarm(Exception):
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 @pytest.mark.parametrize("table,far", [(tri.KrewerasTriangle, 3000), (tri.SeidelTriangle, 6000)])
 def test_an_interrupted_row_leaves_the_table_able_to_resume(table, far):
+    # the alarm lands in a step that blocks once, after a few dozen rows, so
+    # the rows stay small and the interrupt does not wait on a big-int sum
     def ring(signum, frame):
         raise _Alarm
 
     fresh = table()
+    step, blocked = fresh._step, []
+
+    def blocking(row, i):
+        out = step(row, i)
+        if i == 40 and not blocked:  # row 41 is made, and not stored
+            blocked.append(i)
+            time.sleep(10)
+        return out
+
+    fresh._step = blocking
     old = signal.signal(signal.SIGALRM, ring)
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.2)
