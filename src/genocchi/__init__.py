@@ -4,7 +4,10 @@ The normalized median Genocchi numbers h_n count five different kinds of
 objects, and a pair of statistics (k, l) refines each count into the same
 triangle h_{n,k}.  This package computes the triangles, enumerates the
 families, and realizes the structural maps that tie them together, plus a
-consistency suite that checks everything against everything else.
+consistency suite that checks everything against everything else.  The
+suite's module, `genocchi.verify`, loads on first use: at the first use of
+`run_suite`, `count_matrix`, `ConsistencyReport` or `SuiteReport`, so a
+program that never verifies never imports it.
 
     >>> from genocchi import normalized_genocchi, kreweras_row
     >>> [normalized_genocchi(n) for n in range(7)]
@@ -62,7 +65,6 @@ from .triangles import (
     seidel_entry,
     seidel_row,
 )
-from .verify import ConsistencyReport, SuiteReport, count_matrix, run_suite
 
 __version__ = "0.1.0"
 
@@ -114,3 +116,20 @@ __all__ = [
     "run_suite",
     "__version__",
 ]
+
+# the names of genocchi.verify that the package exports, looked up there at
+# each use (PEP 562); `genocchi.verify` itself imports the module as well
+_FROM_VERIFY = frozenset({"ConsistencyReport", "SuiteReport", "count_matrix", "run_suite"})
+
+
+def __getattr__(name: str):
+    if name == "verify" or name in _FROM_VERIFY:
+        # not `from . import verify`, which asks this function for the
+        # attribute again before it imports the submodule
+        import genocchi.verify as verify
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _FROM_VERIFY)

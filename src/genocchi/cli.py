@@ -13,15 +13,17 @@ caller pays for the argparse tree once, while a one-shot `genocchi` process
 builds it once, as it always did.  Each call still parses into a new
 namespace and writes its help and usage errors to that call's stdout and
 stderr, wrapped to the terminal width at that call.
+
+A command imports only what it runs: `verify` loads the verifier, and the
+csv and json writers load their stdlib module at their first call, so
+`count` or `map` in the text format loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 from functools import cache
@@ -29,7 +31,6 @@ from itertools import chain, islice
 
 from . import maps, models, triangles
 from .models import _INVOLUTIVE, MODEL_NAMES
-from .verify import run_suite
 
 __all__ = ["main"]
 
@@ -64,6 +65,8 @@ def _nonnegative(text: str) -> int:
 
 def _write_csv(header, rows) -> None:
     """Write the header and the rows as CSV lines, one batch at a time."""
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     for batch in _batches(chain((header,), rows)):
@@ -74,6 +77,8 @@ def _write_csv(header, rows) -> None:
 
 
 def _dump_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True))
 
 
@@ -92,6 +97,8 @@ def _batches(items):
 
 def _dump_json_list(items) -> None:
     """Print what _dump_json(list(items)) prints, holding one batch at a time."""
+    import json
+
     encode = json.JSONEncoder(sort_keys=True).encode
     sep = "["
     for batch in _batches(items):
@@ -229,6 +236,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     report = run_suite(args.max_n, args.pairs_n, limit=args.guard)
     if args.format == "json":
         print(report.to_json(indent=2))

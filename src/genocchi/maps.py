@@ -76,8 +76,8 @@ with it, so that each checks the other.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .models import (
     FeiginChain,

@@ -140,10 +140,10 @@ fragments come from the same writers.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter, lt
-from typing import Iterator
 
 from .triangles import normalized_genocchi
 
@@ -1361,15 +1361,18 @@ def _lines(model: str, n: int, limit: int | None, stats: bool) -> Iterator[str]:
 _RENDER_MEMO_SIZE = 4096
 
 
-def _reader(join, below, stats: bool):
-    """A getter of the items of a prefix summary that join reads to make the
-    statistics of the prefix and each completion of the block below: none
-    without stats.  A fold's join reads the same items whatever their
-    values."""
+def _reader(join, below, stats: bool, size: int):
+    """A getter of the items of a prefix summary of `size` items that join
+    reads to make the statistics of the prefix and each completion of the
+    block below: none without stats.  A fold's join reads the same items
+    whatever their values, so the completions are joined until all of them
+    are read or none is left (a mark fold's first join reads both)."""
     summary = defaultdict(int)  # each item read becomes a key
     if stats:
         for _, _, suffix in below:
             join(summary, suffix)
+            if len(summary) == size:
+                break
     return itemgetter(*summary) if summary else _no_items
 
 
@@ -1404,7 +1407,7 @@ def _block_lines(model: str, n: int, stats: bool) -> Iterator[str]:
     held = 0
     for text, _, _, memo_key, below, above in blocks:
         if (block := rendered.get(memo_key)) is None:
-            block = rendered[memo_key] = _reader(join, below, stats), {}
+            block = rendered[memo_key] = _reader(join, below, stats, len(above)), {}
         read, lines_by = block
         if (lines := lines_by.get(values := read(above))) is None:
             lines = lines_by[values] = render(below, above)

@@ -37,8 +37,8 @@ leaves its memo able to compute it again.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator
 
 __all__ = [
     "SeidelTriangle",

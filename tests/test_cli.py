@@ -663,3 +663,68 @@ def test_verify_refuses_the_removed_threads_option(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--threads", "4")
     assert code == 2
     assert out == ""
+
+
+# each command that loads a module on first use: the verifier, csv or json
+# inside the writer of its format
+LAZY_IMPORT_CALLS = [
+    ("verify", "--max-n", "3", "--json"),
+    ("verify", "--max-n", "3", "--format", "csv"),
+    ("enumerate", "--model", "hetyei", "--n", "4", "--stats", "--format", "csv"),
+    ("enumerate", "--model", "hetyei", "--n", "4", "--stats", "--format", "json"),
+    ("count", "--model", "dellac", "--n", "5", "--by", "k", "--format", "csv"),
+    ("count", "--model", "dellac", "--n", "5", "--by", "k", "--format", "json"),
+    ("map", "--op", "phi", "--input", ";3;1,3;1,3,4;1,2,3,5;1,2,3,4,5", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", LAZY_IMPORT_CALLS, ids=" ".join)
+def test_a_fresh_process_loads_what_its_command_runs(capsys, argv):
+    # this process imported verify, csv and json long ago, so only a fresh
+    # one shows a command that uses a module it never loads
+    done = subprocess.run([sys.executable, "-m", "genocchi.cli", *argv], env=package_env(),
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run(capsys, *argv)[1]
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """The names in sys.modules of a fresh interpreter that has run code."""
+    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                          env=package_env(), capture_output=True, text=True, timeout=60,
+                          check=True)
+    return set(done.stdout.split())
+
+
+def test_the_package_and_cli_load_no_verifier_and_no_format_module():
+    new = _fresh_modules("import genocchi, genocchi.cli") - _fresh_modules("")
+    assert {"genocchi", "genocchi.cli", "genocchi.models", "genocchi.maps"} <= new
+    assert not new & {"genocchi.verify", "dataclasses", "inspect", "csv", "json", "typing"}
+
+
+# run in a fresh interpreter: what `genocchi` exports, before and after its
+# verifier loads; the first use is `genocchi.verify` itself
+_EXPORTS = """
+import sys
+import genocchi
+seen = ["genocchi.verify" in sys.modules, set(genocchi.__all__) <= set(dir(genocchi))]
+verify = genocchi.verify
+star = {}
+exec("from genocchi import *", star)
+seen.append(sorted(set(genocchi.__all__) - set(star)))
+seen.append([verify.__name__] + [getattr(genocchi, name) is getattr(verify, name) is star[name]
+                                 for name in ("ConsistencyReport", "SuiteReport", "count_matrix",
+                                              "run_suite")])
+try:
+    genocchi.no_such_name
+except AttributeError as e:
+    seen.append(str(e))
+print(seen)
+"""
+
+
+def test_the_verifier_names_resolve_on_first_use():
+    done = subprocess.run([sys.executable, "-c", _EXPORTS], env=package_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == str([False, True, [], ["genocchi.verify"] + [True] * 4,
+                               "module 'genocchi' has no attribute 'no_such_name'"]) + "\n"

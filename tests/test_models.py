@@ -434,9 +434,9 @@ def test_the_walk_remembers_dead_states(monkeypatch):
 def test_the_stats_text_renders_each_block_once(monkeypatch, capsys, model, bound):
     # the walk yields the same blocks after many prefixes, so the text
     # format renders each (block, prefix summary) once: the fold's join runs
-    # 3,778 times for dellac's order-7 lines and 2,352 for hetyei's, with
-    # each block's reader, where a join for each line would run it 42,271
-    # times
+    # 3,483 times for dellac's order-7 lines and 2,351 for hetyei's, with
+    # each block's reader, which stops once it has read every item of the
+    # summary, where a join for each line would run it 42,271 times
     rule = models._RULES[model]
     calls = []
 
